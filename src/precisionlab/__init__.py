@@ -73,10 +73,7 @@ from .matcore import (
 from .matrixio import dump_symmetric_matrix, load_symmetric_matrix
 from .sampler import (
     RngStream,
-    SampleBatch,
     deficient_batches,
-    gaussian_vector,
-    haar_rotation,
     haar_rotation_many,
     sample_batch,
     standard_batches,
@@ -84,9 +81,7 @@ from .sampler import (
     uniform_sphere_many,
 )
 from .tvbounds import (
-    ChainCheck,
     TvReport,
-    lyapunov_chain_check,
     tv_chi2_quadrature,
     tv_closed_form_bound,
     tv_exact_mc,
@@ -98,11 +93,9 @@ from .wishart import (
     WishartParams,
     det_moments,
     det_moments_exact,
-    gram,
     gram_many,
     log_density,
     log_normalizer,
-    wishart_sample,
     wishart_samples,
 )
 

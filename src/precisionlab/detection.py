@@ -10,18 +10,20 @@ with d-k degrees of freedom, so any detector's equal-prior success is
 capped by (1 + TV)/2 with TV the total-variation distance between the Gram
 laws; the likelihood-ratio detector attains that cap.
 
-Detectors map a sample batch to a guess in {0, 1, 2}.  Every shipped
-detector is a deterministic function of the batch Gram matrix (including
-the pseudo-random baseline, which hashes the Gram trace), so batches with
-equal Gram matrices always receive equal guesses.  Harnesses split trials
-over fixed batch grids, making reports independent of worker count.
+A detector maps a (count, n, d) stack of sample batches to a guess in
+{0, 1, 2} per batch; one batch is a stack of one.  Every shipped detector
+except the constant one is a threshold or an argmax on the (logdet, trace)
+statistics of each batch Gram matrix, computed once per stack (the
+pseudo-random baseline hashes the trace), so batches with equal Gram
+matrices always receive equal guesses.  Harnesses split trials over fixed
+batch grids, making reports independent of worker count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +33,13 @@ from .matcore import projector_complement, sym_sqrt
 from .parallel import run_batched
 from .sampler import (
     RngStream,
-    SampleBatch,
     deficient_batches,
     haar_rotation_many,
     random_subspace_basis,
     standard_batches,
 )
 from .tvbounds import tv_closed_form_bound
-from .wishart import gram, gram_many, log_normalizer, logdet_trace_many
+from .wishart import gram_many, log_normalizer, logdet_trace_many
 
 MIN_GAME_TRIALS = 10_000
 # Norm of the in-plane component below which a direction counts as
@@ -53,23 +54,20 @@ def true_section_rank(a) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Detector:
-    """A guessing rule: batch of samples -> rank guess in {0, 1, 2}.
+    """A guessing rule: a stack of batches to guesses.
 
-    ``evaluate`` is the contract; ``evaluate_many`` is an optional
-    vectorized path over a (count, n, d) stack that must agree with it.
-    Both must be safe to call concurrently on distinct batches.
+    ``evaluate`` maps a (count, n, d) stack of sample batches to a (count,)
+    array of rank guesses in {0, 1, 2}; one batch is a stack of one.  It
+    must be safe to call concurrently on distinct stacks.
     """
 
     identifier: str
-    evaluate: Callable[[SampleBatch], int]
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
 
 def evaluate_batches(detector: Detector, vectors: np.ndarray) -> np.ndarray:
     """Guesses of ``detector`` on a (count, n, d) stack of batches."""
-    if detector.evaluate_many is not None:
-        return np.asarray(detector.evaluate_many(vectors), dtype=np.int64)
-    return np.array([detector.evaluate(SampleBatch(v)) for v in vectors], dtype=np.int64)
+    return np.asarray(detector.evaluate(vectors), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +147,35 @@ class Ensemble:
             return x - (x @ t)[:, :, None] * t[None, None, :]
         return x @ self.sqrt_cov
 
-    def sample(self, n: int, rng: RngStream) -> SampleBatch:
-        tag = self.kind if self.kind != "deficient-random" else f"deficient-random(k={self.k})"
-        return SampleBatch(self.sample_many(n, 1, rng)[0], ensemble_tag=tag)
-
 
 # ---------------------------------------------------------------------------
 # Detectors
+
+
+def _gram_detector(
+    identifier: str, rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> Detector:
+    """Detector applying ``rule(logdet, trace)`` to the Gram statistics of each batch."""
+
+    def evaluate(vectors: np.ndarray) -> np.ndarray:
+        return rule(*logdet_trace_many(gram_many(vectors)))
+
+    return Detector(identifier, evaluate)
+
+
+def _threshold_detector(identifier: str, statistic: str, threshold: float, k: int) -> Detector:
+    """Guess full rank iff the Gram ``statistic`` ("logdet" or "trace") reaches ``threshold``.
+
+    Ties break toward the full-rank guess; otherwise guess the section rank
+    of the k-deficient ensemble.
+    """
+    deficient_label = max(2 - k, 0)
+
+    def rule(logdet: np.ndarray, trace: np.ndarray) -> np.ndarray:
+        value = logdet if statistic == "logdet" else trace
+        return np.where(value >= threshold, 2, deficient_label)
+
+    return _gram_detector(identifier, rule)
 
 
 def lr_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -172,17 +192,7 @@ def lr_detector(n: int, d: int, k: int = 1) -> Detector:
     if not 1 <= n <= d - k:
         raise InvalidParamsError(f"need 1 <= n <= d-k for both densities, got n={n}")
     threshold = (2.0 / k) * (log_normalizer((n, d)) - log_normalizer((n, d - k)))
-    full_label, deficient_label = 2, max(2 - k, 0)
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        logdet, _ = logdet_trace_many(gram_many(vectors))
-        return np.where(logdet >= threshold, full_label, deficient_label)
-
-    def evaluate(batch: SampleBatch) -> int:
-        logdet = np.linalg.slogdet(gram(batch))[1]
-        return full_label if logdet >= threshold else deficient_label
-
-    return Detector("lr", evaluate, evaluate_many)
+    return _threshold_detector("lr", "logdet", threshold, k)
 
 
 def trace_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -190,17 +200,7 @@ def trace_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
     n, d, k = int(n), int(d), int(k)
     if not 1 <= k < d:
         raise InvalidParamsError(f"need 1 <= k < d, got k={k}, d={d}")
-    threshold = n * (d - 0.5 * k)
-    full_label, deficient_label = 2, max(2 - k, 0)
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        _, trace = logdet_trace_many(gram_many(vectors))
-        return np.where(trace >= threshold, full_label, deficient_label)
-
-    def evaluate(batch: SampleBatch) -> int:
-        return full_label if float(np.trace(gram(batch))) >= threshold else deficient_label
-
-    return Detector("trace", evaluate, evaluate_many)
+    return _threshold_detector("trace", "trace", n * (d - 0.5 * k), k)
 
 
 def det_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -215,26 +215,12 @@ def det_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
         return math.lgamma(p + 1) - math.lgamma(p - n + 1)
 
     threshold = 0.5 * (log_mean_det(d) + log_mean_det(d - k))
-    full_label, deficient_label = 2, max(2 - k, 0)
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        logdet, _ = logdet_trace_many(gram_many(vectors))
-        return np.where(logdet >= threshold, full_label, deficient_label)
-
-    def evaluate(batch: SampleBatch) -> int:
-        logdet = np.linalg.slogdet(gram(batch))[1]
-        return full_label if logdet >= threshold else deficient_label
-
-    return Detector("det", evaluate, evaluate_many)
+    return _threshold_detector("det", "logdet", threshold, k)
 
 
 def constant_detector(guess: int = 2) -> Detector:
     g = int(guess)
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        return np.full(vectors.shape[0], g, dtype=np.int64)
-
-    return Detector("constant", lambda batch: g, evaluate_many)
+    return Detector("constant", lambda vectors: np.full(vectors.shape[0], g, dtype=np.int64))
 
 
 def _trace_hash_guesses(traces: np.ndarray) -> np.ndarray:
@@ -249,15 +235,7 @@ def _trace_hash_guesses(traces: np.ndarray) -> np.ndarray:
 
 def random_guess_detector() -> Detector:
     """Uniform-looking guesser implemented as a hash of the Gram trace."""
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        _, trace = logdet_trace_many(gram_many(vectors))
-        return _trace_hash_guesses(trace)
-
-    def evaluate(batch: SampleBatch) -> int:
-        return int(_trace_hash_guesses(np.array([np.trace(gram(batch))]))[0])
-
-    return Detector("random", evaluate, evaluate_many)
+    return _gram_detector("random", lambda logdet, trace: _trace_hash_guesses(trace))
 
 
 def bayes_three_way_detector(n: int, d: int) -> Detector:
@@ -272,21 +250,14 @@ def bayes_three_way_detector(n: int, d: int) -> Detector:
         raise InvalidParamsError("need dimension at least 3")
     if not 1 <= n <= d - 2:
         raise InvalidParamsError(f"need 1 <= n <= d-2 for all three densities, got n={n}")
-    hypotheses = [(0.5 * (p - n - 1), log_normalizer((n, p)), label)
-                  for p, label in ((d, 2), (d - 1, 1), (d - 2, 0))]
+    hypotheses = [(0.5 * (p - n - 1), log_normalizer((n, p))) for p in (d, d - 1, d - 2)]
     labels = np.array([2, 1, 0], dtype=np.int64)
 
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
-        logdet, _ = logdet_trace_many(gram_many(vectors))
-        scores = np.stack([c * logdet - z for c, z, _ in hypotheses])
+    def rule(logdet: np.ndarray, trace: np.ndarray) -> np.ndarray:
+        scores = np.stack([c * logdet - z for c, z in hypotheses])
         return labels[np.argmax(scores, axis=0)]  # argmax takes the first max
 
-    def evaluate(batch: SampleBatch) -> int:
-        logdet = np.linalg.slogdet(gram(batch))[1]
-        scores = [c * logdet - z for c, z, _ in hypotheses]
-        return int(labels[int(np.argmax(scores))])
-
-    return Detector("bayes3", evaluate, evaluate_many)
+    return _gram_detector("bayes3", rule)
 
 
 DETECTOR_FACTORIES: dict[str, Callable[[int, int, int], Detector]] = {
@@ -317,13 +288,9 @@ def make_detector(name: str, n: int, d: int, k: int = 1) -> Detector:
 # Rotation symmetrization
 
 
-def _vote(mean_guess: float) -> int:
-    """Collapse a mean guess to a label; the 3/2 boundary maps up to 2."""
-    if mean_guess >= 1.5:
-        return 2
-    if mean_guess >= 0.5:
-        return 1
-    return 0
+def _vote(mean_guess: np.ndarray) -> np.ndarray:
+    """Collapse mean guesses to labels; the 3/2 and 1/2 boundaries map up."""
+    return np.where(mean_guess >= 1.5, 2, np.where(mean_guess >= 0.5, 1, 0)).astype(np.int64)
 
 
 def symmetrize_detector(f: Detector, rotations: int, rng: RngStream) -> Detector:
@@ -347,21 +314,13 @@ def symmetrize_detector(f: Detector, rotations: int, rng: RngStream) -> Detector
             panels[d] = ts
         return ts
 
-    def evaluate(batch: SampleBatch) -> int:
-        vs = batch.vectors
-        total = 0.0
-        for t in panel(vs.shape[1]):
-            total += f.evaluate(SampleBatch(vs @ t.T, batch.ensemble_tag))
-        return _vote(total / m)
-
-    def evaluate_many(vectors: np.ndarray) -> np.ndarray:
+    def evaluate(vectors: np.ndarray) -> np.ndarray:
         acc = np.zeros(vectors.shape[0])
         for t in panel(vectors.shape[2]):
             acc += evaluate_batches(f, vectors @ t.T)
-        mean = acc / m
-        return np.where(mean >= 1.5, 2, np.where(mean >= 0.5, 1, 0)).astype(np.int64)
+        return _vote(acc / m)
 
-    return Detector(f"{f.identifier}+sym{m}", evaluate, evaluate_many)
+    return Detector(f"{f.identifier}+sym{m}", evaluate)
 
 
 # ---------------------------------------------------------------------------

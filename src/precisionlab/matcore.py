@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BasisNotOrthonormalError,
+    InvalidParamsError,
     NotPdError,
     NotPsdError,
     NotUnitVectorError,
@@ -29,14 +30,14 @@ from .errors import (
 PSD_REL_TOL = 1e-10
 # Relative eigenvalue cutoff for numerical rank and pseudo-inversion.
 RANK_REL_TOL = 1e-8
-# A cross-basis singular value above 1 - ANGLE_TOL counts as a zero principal
-# angle, i.e. one shared direction.
+# A principal angle whose sine is at most ANGLE_TOL counts as zero, i.e. one
+# shared direction.
 ANGLE_TOL = 1e-8
 SYM_TOL = 1e-12
 
 
 def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
-    """Validate that ``a`` is square and symmetric; return a float64 copy.
+    """Validate that ``a`` is square, finite and symmetric; return a float64 copy.
 
     Asymmetry beyond ``tol`` (relative to the largest entry) is rejected
     rather than averaged away.
@@ -46,6 +47,8 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
+    if not np.isfinite(m).all():
+        raise InvalidParamsError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if float(np.max(np.abs(m - m.T))) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -163,9 +166,11 @@ def subspace_intersection_dim(
 ) -> int:
     """Dimension of the intersection of two subspaces given orthonormal bases.
 
-    Bases are given as rows.  The count of cross-Gram singular values within
-    ``angle_tol`` of 1 equals the number of zero principal angles, which is
-    the intersection dimension.
+    Bases are given as rows.  The singular values of the part of ``u``
+    orthogonal to ``v`` are the sines of the principal angles (plus ones when
+    ``u`` has more rows); the count of them at most ``angle_tol`` is the
+    number of zero principal angles, which is the intersection dimension.
+    Sines resolve small angles that ``1 - cos`` rounds away.
     """
     u = _check_orthonormal(basis_u, ortho_tol)
     v = _check_orthonormal(basis_v, ortho_tol)
@@ -173,5 +178,5 @@ def subspace_intersection_dim(
         return 0
     if u.shape[1] != v.shape[1]:
         raise ValueError("bases live in different ambient dimensions")
-    sv = np.linalg.svd(u @ v.T, compute_uv=False)
-    return int(np.count_nonzero(sv > 1.0 - angle_tol))
+    sines = np.linalg.svd(u - (u @ v.T) @ v, compute_uv=False)
+    return int(np.count_nonzero(sines <= angle_tol))

@@ -1,12 +1,14 @@
 """Plain-text symmetric matrix files.
 
 Format: first line holds the dimension d, then d lines of d
-whitespace-separated decimals.  Symmetry is validated at 1e-12 relative
+whitespace-separated finite decimals.  ``nan`` and ``inf`` entries are
+rejected with their location.  Symmetry is validated at 1e-12 relative
 tolerance and asymmetric input is rejected outright.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +52,14 @@ def load_symmetric_matrix(path) -> np.ndarray:
         values = []
         for col, token in enumerate(tokens, start=1):
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 raise MatrixParseError(f"invalid number {token!r}",
                                        line=line_no, column=col) from None
+            if not math.isfinite(value):
+                raise MatrixParseError(f"non-finite number {token!r}",
+                                       line=line_no, column=col)
+            values.append(value)
         rows.append(values)
 
     m = np.array(rows, dtype=float)

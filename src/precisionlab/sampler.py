@@ -12,8 +12,6 @@ hand each worker its own child.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDrawError, InvalidParamsError
@@ -54,35 +52,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """An ordered batch of vectors with provenance of the generating ensemble."""
-
-    vectors: np.ndarray  # shape (count, dim)
-    ensemble_tag: str = "explicit"
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise InvalidParamsError(f"batch must be a nonempty (count, dim) array, got {v.shape}")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def gaussian_vector(d: int, rng: RngStream) -> np.ndarray:
-    """One standard Gaussian vector in dimension ``d``."""
-    if d < 1:
-        raise InvalidParamsError("dimension must be at least 1")
-    return rng.gen.standard_normal(d)
 
 
 def uniform_sphere(d: int, rng: RngStream) -> np.ndarray:
@@ -130,13 +99,8 @@ def haar_rotation_many(d: int, count: int, rng: RngStream) -> np.ndarray:
     return q
 
 
-def haar_rotation(d: int, rng: RngStream) -> np.ndarray:
-    """One rotation matrix distributed by the invariant measure on SO(d)."""
-    return haar_rotation_many(d, 1, rng)[0]
-
-
-def sample_batch(cov, n: int, rng: RngStream, ensemble_tag: str = "explicit") -> SampleBatch:
-    """``n`` independent centered Gaussian vectors with covariance ``cov``.
+def sample_batch(cov, n: int, rng: RngStream) -> np.ndarray:
+    """``n`` independent centered Gaussian vectors with covariance ``cov``, shape (n, d).
 
     Each row is S @ x with S the symmetric PSD square root of ``cov`` and x
     standard Gaussian, so the population covariance is exactly ``cov``.
@@ -145,7 +109,7 @@ def sample_batch(cov, n: int, rng: RngStream, ensemble_tag: str = "explicit") ->
         raise InvalidParamsError("sample count must be at least 1")
     s = sym_sqrt(cov)
     x = rng.gen.standard_normal((n, s.shape[0]))
-    return SampleBatch(x @ s, ensemble_tag=ensemble_tag)
+    return x @ s
 
 
 def standard_batches(d: int, n: int, count: int, rng: RngStream) -> np.ndarray:

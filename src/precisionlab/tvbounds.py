@@ -198,40 +198,6 @@ def validate_chain(report: TvReport, slack: float = SE_SLACK) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ChainCheck:
-    """The ordered inequality triple with the errors used to assert it."""
-
-    tv_estimate: float
-    tv_standard_error: float
-    sqrt_moment_ratio: float
-    sqrt_moment_ratio_se: float
-    moment_ratio_bound: float
-
-    @property
-    def triple(self) -> tuple[float, float, float]:
-        return (self.tv_estimate, self.sqrt_moment_ratio, self.moment_ratio_bound)
-
-
-def lyapunov_chain_check(
-    n: int, d: int, trials: int, rng: RngStream, workers: int = 1
-) -> ChainCheck:
-    """Estimate the chain triple and assert both inequality links.
-
-    Raises :class:`InvariantViolationError` if either link fails beyond the
-    standard-error slack; that should never happen.
-    """
-    report = tv_report(n, d, trials, rng, workers=workers)
-    validate_chain(report)
-    return ChainCheck(
-        tv_estimate=report.mc_estimate,
-        tv_standard_error=report.mc_standard_error,
-        sqrt_moment_ratio=report.sqrt_moment_ratio_bound,
-        sqrt_moment_ratio_se=report.sqrt_moment_ratio_se,
-        moment_ratio_bound=report.moment_ratio_bound,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quadrature oracle for the n = 1 reduction (chi-square pair).
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .matcore import check_symmetric, cholesky_logdet
-from .sampler import RngStream, SampleBatch
+from .sampler import RngStream
 
 
 class WishartParams(NamedTuple):
@@ -40,19 +40,6 @@ def _validated(params) -> WishartParams:
 class DetMoments(NamedTuple):
     mean: float
     variance: float
-
-
-def gram(batch) -> np.ndarray:
-    """Gram matrix of pairwise inner products of the batch vectors.
-
-    Accepts a :class:`~precisionlab.sampler.SampleBatch` or a plain
-    (count, dim) array.  The result is PSD by construction.
-    """
-    v = batch.vectors if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise InvalidParamsError(f"expected a nonempty (count, dim) array, got shape {v.shape}")
-    g = v @ v.T
-    return 0.5 * (g + g.T)
 
 
 def gram_many(vectors: np.ndarray) -> np.ndarray:
@@ -129,11 +116,6 @@ def wishart_samples(params, count: int, rng: RngStream) -> np.ndarray:
         raise InvalidParamsError("count must be at least 1")
     x = rng.gen.standard_normal((count, n, p))
     return x @ x.transpose(0, 2, 1)
-
-
-def wishart_sample(params, rng: RngStream) -> np.ndarray:
-    """One W(n, p) draw, shape (n, n)."""
-    return wishart_samples(params, 1, rng)[0]
 
 
 def logdet_trace_many(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

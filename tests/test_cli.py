@@ -205,6 +205,12 @@ class TestSectionCommand:
         assert doc["c11"] == 0.0
         assert math.isclose(doc["c22"], 1.0 / 3.0, rel_tol=1e-12)
 
+    def test_non_finite_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("2\n1 nan\nnan 1\n")
+        assert main(["section", "--matrix-file", str(path)]) == 2
+        assert "line 2, column 2" in capsys.readouterr().err
+
     def test_full_rank_section(self, tmp_path):
         path = tmp_path / "id.txt"
         path.write_text(IDENTITY_FILE)

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from precisionlab import (
     BasisNotOrthonormalError,
+    InvalidParamsError,
     NotPdError,
     NotPsdError,
     NotUnitVectorError,
@@ -188,9 +189,25 @@ class TestSubspaceIntersectionDim:
         assert lhs == subspace_intersection_dim(v, u)
         assert 0 <= lhs <= 3
 
+    def test_small_angle_is_not_shared(self):
+        # At 1e-5 rad, 1 - cos is 5e-11 while the sine is 1e-5.
+        e = np.eye(3)
+        tilted = np.array([[1.0, 0.0, 1e-5]]) / math.hypot(1.0, 1e-5)
+        assert subspace_intersection_dim(tilted, e[:1]) == 0
+        assert subspace_intersection_dim(e[:2], np.vstack([e[1], tilted])) == 1
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(BasisNotOrthonormalError):
             subspace_intersection_dim(np.array([[1.0, 1.0, 0.0]]), np.eye(3)[:1])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected_by_every_primitive(self, value):
+        a = np.diag([1.0, 1.0, value])
+        for fn in (psd_certificate, cholesky_logdet, sym_sqrt, numerical_rank):
+            with pytest.raises(InvalidParamsError):
+                fn(a)
 
 
 class TestPsdCertificate:

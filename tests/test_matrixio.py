@@ -45,6 +45,13 @@ class TestLoad:
             load_symmetric_matrix(write(tmp_path, "2\n1 x\nx 1\n"))
         assert (err.value.line, err.value.column) == (2, 2)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_location(self, tmp_path, token):
+        text = f"3\n1 0 0\n0 1 {token}\n0 {token} 1\n"
+        with pytest.raises(MatrixParseError) as err:
+            load_symmetric_matrix(write(tmp_path, text))
+        assert (err.value.line, err.value.column) == (3, 3)
+
     def test_asymmetry_rejected_with_location(self, tmp_path):
         with pytest.raises(MatrixParseError) as err:
             load_symmetric_matrix(write(tmp_path, "2\n1 0.5\n0.4 1\n"))

@@ -10,12 +10,9 @@ from precisionlab import (
     InvalidParamsError,
     NotPsdError,
     RngStream,
-    SampleBatch,
     deficient_batches,
     det_moments,
-    gaussian_vector,
     gram_many,
-    haar_rotation,
     haar_rotation_many,
     projector_complement,
     sample_batch,
@@ -53,21 +50,18 @@ class TestRngStream:
         assert abs(corr) < 5.0 / math.sqrt(len(a))
 
     def test_op_determinism(self):
-        assert np.array_equal(gaussian_vector(4, RngStream(1)), gaussian_vector(4, RngStream(1)))
+        assert np.array_equal(standard_batches(4, 1, 1, RngStream(1)),
+                              standard_batches(4, 1, 1, RngStream(1)))
         assert np.array_equal(uniform_sphere(4, RngStream(2)), uniform_sphere(4, RngStream(2)))
-        assert np.array_equal(haar_rotation(4, RngStream(3)), haar_rotation(4, RngStream(3)))
-        x = sample_batch(np.eye(3), 5, RngStream(4)).vectors
-        y = sample_batch(np.eye(3), 5, RngStream(4)).vectors
+        assert np.array_equal(haar_rotation_many(4, 1, RngStream(3))[0],
+                              haar_rotation_many(4, 1, RngStream(3))[0])
+        x = sample_batch(np.eye(3), 5, RngStream(4))
+        y = sample_batch(np.eye(3), 5, RngStream(4))
         assert np.array_equal(x, y)
 
 
 class TestGaussianVector:
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(InvalidParamsError):
-            gaussian_vector(0, RngStream(0))
-
     def test_moments_one_million(self):
-        # Same generator path as gaussian_vector, drawn as one block.
         draws = standard_batches(3, 1000, 1000, RngStream(100)).reshape(-1, 3)
         means = draws.mean(axis=0)
         variances = draws.var(axis=0, ddof=1)
@@ -138,8 +132,8 @@ class TestHaarRotation:
 class TestSampleBatch:
     def test_identity_covariance_converges(self):
         batch = sample_batch(np.eye(3), 1_000_000, RngStream(31))
-        emp = batch.vectors.T @ batch.vectors / batch.count
-        scale = 1.0 / math.sqrt(batch.count)
+        emp = batch.T @ batch / len(batch)
+        scale = 1.0 / math.sqrt(len(batch))
         # diag entries have sd sqrt(2)/sqrt(T), off-diag 1/sqrt(T)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 5 * math.sqrt(2) * scale
         off = emp - np.diag(np.diag(emp))
@@ -148,20 +142,16 @@ class TestSampleBatch:
     def test_projector_covariance_kills_coordinate(self):
         p = projector_complement(np.array([1.0, 0.0, 0.0]))
         batch = sample_batch(p, 1000, RngStream(32))
-        assert np.all(batch.vectors[:, 0] == 0.0)
+        assert np.all(batch[:, 0] == 0.0)
 
     def test_scaled_variance(self):
         batch = sample_batch(np.diag([4.0, 1.0]), 100_000, RngStream(33))
-        v, se = helpers.var_se(batch.vectors[:, 0])
+        v, se = helpers.var_se(batch[:, 0])
         assert abs(v - 4.0) < 5 * se
 
     def test_propagates_not_psd(self):
         with pytest.raises(NotPsdError):
             sample_batch(np.diag([1.0, -1.0]), 10, RngStream(0))
-
-    def test_batch_validation(self):
-        with pytest.raises(InvalidParamsError):
-            SampleBatch(np.zeros((0, 3)))
 
 
 def _gram_moment_triple(grams):
@@ -175,7 +165,7 @@ class TestDistributionalInvariants:
         # One fixed rotation; the rotated standard batches must reproduce the
         # full-rank Gram moment triple.
         n, d, count = 3, 6, 100_000
-        t = haar_rotation(d, RngStream(41))
+        t = haar_rotation_many(d, 1, RngStream(41))[0]
         x = standard_batches(d, n, count, RngStream(42))
         dets, traces = _gram_moment_triple(gram_many(x @ t.T))
         moments = det_moments((n, d))

@@ -8,7 +8,6 @@ from precisionlab import (
     InvalidParamsError,
     InvariantViolationError,
     RngStream,
-    lyapunov_chain_check,
     tv_chi2_quadrature,
     tv_closed_form_bound,
     tv_exact_mc,
@@ -130,10 +129,12 @@ class TestExactMc:
 class TestChain:
     @pytest.mark.parametrize("n,d", [(1, 4), (3, 12)])
     def test_triple_is_nondecreasing(self, n, d):
-        check = lyapunov_chain_check(n, d, 50_000, RngStream(80 + n + d))
-        tv, mid, bound = check.triple
-        assert tv <= mid + 3 * (check.tv_standard_error + check.sqrt_moment_ratio_se)
-        assert mid <= bound + 3 * check.sqrt_moment_ratio_se
+        report = tv_report(n, d, 50_000, RngStream(80 + n + d))
+        validate_chain(report)  # must not raise
+        tv, mid, bound = (report.mc_estimate, report.sqrt_moment_ratio_bound,
+                          report.moment_ratio_bound)
+        assert tv <= mid + 3 * (report.mc_standard_error + report.sqrt_moment_ratio_se)
+        assert mid <= bound + 3 * report.sqrt_moment_ratio_se
 
     def test_degenerate_constant_values_collapse_to_zero(self):
         tv, tv_se, ratio, ratio_se = _chain_stats(np.ones(1000), [500, 500])

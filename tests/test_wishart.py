@@ -8,31 +8,28 @@ from precisionlab import (
     InvalidParamsError,
     NotPdError,
     RngStream,
-    SampleBatch,
     WishartParams,
     det_moments,
     det_moments_exact,
-    gram,
     gram_many,
     log_density,
     log_normalizer,
-    wishart_sample,
     wishart_samples,
 )
 
 
 class TestGram:
     def test_orthonormal_rows(self):
-        batch = SampleBatch(np.eye(3)[:2])
-        assert np.allclose(gram(batch), np.eye(2))
+        assert np.allclose(gram_many(np.eye(3)[None, :2]), np.eye(2))
 
     def test_single_vector(self):
-        v = np.array([[1.0, 2.0, 2.0]])
-        assert np.allclose(gram(v), [[9.0]])
+        v = np.array([[[1.0, 2.0, 2.0]]])
+        assert np.allclose(gram_many(v), [[[9.0]]])
 
     def test_rejects_empty(self):
+        # A bare (count, dim) array is not a stack of batches.
         with pytest.raises(InvalidParamsError):
-            gram(np.zeros((0, 3)))
+            gram_many(np.zeros((0, 3)))
 
     def test_trace_moment(self):
         n, d, count = 3, 8, 200_000
@@ -153,8 +150,8 @@ class TestDetMoments:
 
 class TestWishartSampling:
     def test_determinism(self):
-        a = wishart_sample((2, 5), RngStream(3))
-        b = wishart_sample((2, 5), RngStream(3))
+        a = wishart_samples((2, 5), 1, RngStream(3))[0]
+        b = wishart_samples((2, 5), 1, RngStream(3))[0]
         assert np.array_equal(a, b)
 
     def test_samples_are_psd(self):
@@ -204,5 +201,6 @@ class TestWishartSampling:
         params = WishartParams(2, 6)
         assert params.n == 2 and params.p == 6
         assert np.array_equal(
-            wishart_sample(params, RngStream(9)), wishart_sample((2, 6), RngStream(9))
+            wishart_samples(params, 1, RngStream(9))[0],
+            wishart_samples((2, 6), 1, RngStream(9))[0],
         )
