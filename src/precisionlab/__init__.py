@@ -60,13 +60,9 @@ from .errors import (
 )
 from .matcore import (
     CholeskyLogdet,
-    PsdCertificate,
     cholesky_logdet,
-    numerical_rank,
     projector_complement,
-    psd_certificate,
     psd_eigh,
-    pseudo_inverse,
     subspace_intersection_dim,
     sym_sqrt,
 )

@@ -4,7 +4,8 @@ W(n, p) here is the law of the Gram matrix of n independent standard
 Gaussian vectors in dimension p.  The module provides Gram construction,
 the log density on the cone interior (with respect to Lebesgue measure on
 the n(n+1)/2 free upper-triangle coordinates), the log normalizer, exact
-determinant moments, and sampling by the defining Gram construction.
+determinant moments, sampling by the defining Gram construction, and
+log-determinant sampling by the Bartlett decomposition.
 
 Everything is computed in log space with ``math.lgamma``; the normalizer
 overflows double-precision factorials otherwise.
@@ -116,6 +117,21 @@ def wishart_samples(params, count: int, rng: RngStream) -> np.ndarray:
         raise InvalidParamsError("count must be at least 1")
     x = rng.gen.standard_normal((count, n, p))
     return x @ x.transpose(0, 2, 1)
+
+
+def logdet_samples(params, count: int, rng: RngStream) -> np.ndarray:
+    """``count`` independent draws of log det W(n, p), shape (count,).
+
+    Bartlett decomposition: det W(n, p) is the product of n independent
+    chi-squares with p, p-1, ..., p-n+1 degrees of freedom (Anderson, *An
+    Introduction to Multivariate Statistical Analysis*, section 7.2), so n
+    draws replace the n*p normals, Gram product and slogdet of the Gram
+    construction.  ``tests/test_wishart.py`` pins it to ``wishart_samples``.
+    """
+    n, p = _validated(params)
+    if count < 1:
+        raise InvalidParamsError("count must be at least 1")
+    return sum(np.log(rng.gen.chisquare(p - i, count)) for i in range(n))
 
 
 def logdet_trace_many(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

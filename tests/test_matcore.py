@@ -11,13 +11,11 @@ from precisionlab import (
     NotPsdError,
     NotUnitVectorError,
     cholesky_logdet,
-    numerical_rank,
     projector_complement,
-    psd_certificate,
-    pseudo_inverse,
     subspace_intersection_dim,
     sym_sqrt,
 )
+from precisionlab.matcore import numerical_rank, psd_certificate, pseudo_inverse
 
 
 class TestSymSqrt:

@@ -105,6 +105,23 @@ class TestExactMc:
         combined = math.hypot(forward.standard_error, backward.standard_error)
         assert abs(forward.estimate - backward.estimate) < 3 * combined
 
+    def test_reverse_refuses_infinite_variance_case(self):
+        # At n = d-1 the reverse ratio det^(-1/2) has E[det^-1] = inf under W(d-1, d).
+        for n, d in ((1, 2), (2, 3), (5, 6)):
+            with pytest.raises(InvalidParamsError):
+                tv_exact_mc(n, d, 100_000, RngStream(75), reverse=True)
+
+    @pytest.mark.parametrize("d", [2, 10])
+    def test_standard_error_is_calibrated_across_seeds(self, d):
+        # Seeds fixed once; the z-scores of 20 independent runs should look N(0, 1).
+        oracle = tv_chi2_quadrature(d - 1, d)
+        z = []
+        for seed in range(4000, 4020):
+            est = tv_exact_mc(1, d, 100_000, RngStream(seed))
+            z.append((est.estimate - oracle) / est.standard_error)
+        assert abs(np.mean(z)) < 0.5, z
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3, z
+
     def test_large_dimension_single_sample(self):
         est = tv_exact_mc(1, 200, 50_000, RngStream(73))
         assert est.estimate < 0.06

@@ -16,6 +16,7 @@ from precisionlab import (
     log_normalizer,
     wishart_samples,
 )
+from precisionlab.wishart import logdet_samples, logdet_trace_many
 
 
 class TestGram:
@@ -204,3 +205,34 @@ class TestWishartSampling:
             wishart_samples(params, 1, RngStream(9))[0],
             wishart_samples((2, 6), 1, RngStream(9))[0],
         )
+
+
+class TestBartlettRoute:
+    """``logdet_samples`` against the Gram construction it replaces in the TV estimators."""
+
+    DRAWS = 200_000
+    CHUNK = 20_000  # keeps the Gram route's (chunk, n, p) normals small
+
+    def _gram_logdets(self, n, p, rng):
+        parts = [logdet_trace_many(wishart_samples((n, p), self.CHUNK, rng))[0]
+                 for _ in range(self.DRAWS // self.CHUNK)]
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 29), (3, 30), (9, 30)])
+    def test_agrees_with_gram_route(self, n, p):
+        bartlett = logdet_samples((n, p), self.DRAWS, RngStream(8000 + 100 * n + p))
+        gram = self._gram_logdets(n, p, RngStream(8500 + 100 * n + p))
+        assert bartlett.shape == (self.DRAWS,)
+        for stat in (helpers.mean_se, helpers.var_se):
+            (a, se_a), (b, se_b) = stat(bartlett), stat(gram)
+            assert abs(a - b) < 5 * math.hypot(se_a, se_b), (stat.__name__, n, p)
+        m, se = helpers.mean_se(np.exp(bartlett))
+        assert abs(m - det_moments_exact((n, p))[0]) < 5 * se, (n, p)
+
+    def test_determinism_and_validation(self):
+        a = logdet_samples((3, 30), 1000, RngStream(11))
+        assert np.array_equal(a, logdet_samples((3, 30), 1000, RngStream(11)))
+        with pytest.raises(InvalidParamsError):
+            logdet_samples((3, 2), 10, RngStream(0))
+        with pytest.raises(InvalidParamsError):
+            logdet_samples((1, 2), 0, RngStream(0))
