@@ -16,6 +16,8 @@ running both code paths rather than hard-coding it.
 
 Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
+The sampler forms ``z @ sqrt(A)`` from elementwise products in fixed chunks:
+a BLAS call inside a batch worker would start threads that fight the workers.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ from .sampler import RngStream
 # brute-force slab oracle stops being honest within any sane budget.
 MAX_REJECTION_DIM = 6
 MIN_ACCEPTED = 1000
+# Rejection proposals are drawn and masked this many rows at a time, which
+# bounds a batch's working memory whatever the number of trials.
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,16 +173,24 @@ def alpha_monte_carlo(
         raise InvalidParamsError("epsilon must be positive")
     if trials < 1:
         raise InvalidParamsError("trials must be positive")
+    if min_accepted < 2:
+        raise InvalidParamsError("min_accepted must be at least 2 for a standard error")
     cholesky_logdet(m)  # the conditioned law needs a positive definite covariance
     s = sym_sqrt(m)
     others = [k for k in range(d) if k not in (i, j)]
+    s_others, s_pair = s[:, others], s[:, (i, j)]
+
+    def columns(z: np.ndarray, s_cols: np.ndarray) -> np.ndarray:
+        # (z @ s)[:, cols] as elementwise products summed over the rows of s.
+        return sum(z[:, r, None] * s_cols[r] for r in range(d))
 
     def batch(count: int, stream: RngStream) -> np.ndarray:
-        y = stream.gen.standard_normal((count, d)) @ s
-        if others:
-            keep = np.all(np.abs(y[:, others]) < epsilon, axis=1)
-            y = y[keep]
-        return y[:, (i, j)]
+        parts = []
+        for start in range(0, count, _CHUNK_ROWS):
+            z = stream.gen.standard_normal((min(_CHUNK_ROWS, count - start), d))
+            z = z[np.all(np.abs(columns(z, s_others)) < epsilon, axis=1)]
+            parts.append(columns(z, s_pair))
+        return concat_batches(parts)
 
     accepted = concat_batches(run_batched(batch, trials, rng, workers=workers))
     count = len(accepted)

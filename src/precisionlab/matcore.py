@@ -52,7 +52,12 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if float(np.max(np.abs(m - m.T))) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return symmetric_part(m)
+
+
+def symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(m + m') / 2 without overflow; an exactly symmetric m comes back bit for bit."""
+    return np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
 
 
 class PsdCertificate(NamedTuple):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatrixParseError
+from .matcore import symmetric_part
 
 SYMMETRY_TOL = 1e-12
 
@@ -71,7 +72,7 @@ def load_symmetric_matrix(path) -> np.ndarray:
             f"matrix is not symmetric: entry ({i + 1},{j + 1}) != entry ({j + 1},{i + 1})",
             line=i + 2, column=j + 1,
         )
-    return 0.5 * (m + m.T)
+    return symmetric_part(m)
 
 
 def dump_symmetric_matrix(m) -> str:

@@ -18,9 +18,12 @@ from precisionlab import (
     precision_block,
     projector_complement,
     section_covariance,
+    sym_sqrt,
     uniform_sphere,
 )
+from precisionlab import conditional
 from precisionlab.conditional import _invert_2x2
+from precisionlab.parallel import batch_counts
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -139,10 +142,62 @@ class TestAlphaMonteCarlo:
         assert np.array_equal(a, b)
 
     def test_worker_count_does_not_change_result(self):
-        a = alpha_monte_carlo(TRIDIAGONAL, 0, 1, 0.3, 50_000, RngStream(57), workers=1)
-        b = alpha_monte_carlo(TRIDIAGONAL, 0, 1, 0.3, 50_000, RngStream(57), workers=4)
-        assert np.array_equal(a.values, b.values)
-        assert a.accepted == b.accepted
+        for a, (i, j), eps in ((TRIDIAGONAL, (0, 1), 0.3),
+                               (helpers.random_spd(5, seed=5005), (4, 0), 0.8)):
+            base = alpha_monte_carlo(a, i, j, eps, 50_000, RngStream(57), workers=1,
+                                     min_accepted=100)
+            for workers in (2, 4):
+                other = alpha_monte_carlo(a, i, j, eps, 50_000, RngStream(57),
+                                          workers=workers, min_accepted=100)
+                assert np.array_equal(base.values, other.values)
+                assert np.array_equal(base.standard_errors, other.standard_errors)
+                assert base.accepted == other.accepted
+
+    @pytest.mark.parametrize("min_accepted", [0, 1])
+    def test_min_accepted_below_two_rejected(self, min_accepted):
+        # One acceptance leaves the standard error undefined (0/0).
+        with pytest.raises(InvalidParamsError):
+            alpha_monte_carlo(TRIDIAGONAL, 0, 1, 1e-3, 200, RngStream(0),
+                              min_accepted=min_accepted)
+
+
+def _product_route(a, i, j, epsilon, trials, rng):
+    """``alpha_monte_carlo``'s batch grid and draws, with one ``z @ sqrt(a)``
+    product per batch: the moment means and the accepted count."""
+    d = a.shape[0]
+    s = sym_sqrt(a)
+    others = [k for k in range(d) if k not in (i, j)]
+    parts = []
+    for index, count in enumerate(batch_counts(trials)):
+        y = rng.child(index).gen.standard_normal((count, d)) @ s
+        parts.append(y[np.all(np.abs(y[:, others]) < epsilon, axis=1)][:, (i, j)])
+    y = np.concatenate(parts)
+    return np.array([[np.mean(y[:, 0] ** 2), np.mean(y[:, 0] * y[:, 1])],
+                     [np.mean(y[:, 0] * y[:, 1]), np.mean(y[:, 1] ** 2)]]), len(y)
+
+
+class TestAlphaRoutes:
+    """The worker path (elementwise, chunked) against the plain matrix product."""
+
+    @pytest.mark.parametrize("d, i, j", [(2, 0, 1), (3, 1, 2), (3, 2, 0), (5, 4, 0), (6, 0, 1)])
+    def test_matches_matrix_product_route(self, d, i, j):
+        a = helpers.random_spd(d, seed=5000 + 10 * d + i)
+        est = alpha_monte_carlo(a, i, j, 0.8, 200_000, RngStream(58), workers=2,
+                                min_accepted=100)
+        values, accepted = _product_route(a, i, j, 0.8, 200_000, RngStream(58))
+        assert est.accepted == accepted
+        assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+
+    def test_chunk_size_does_not_change_estimate(self, monkeypatch):
+        a = helpers.random_spd(5, seed=5005)
+        # 300,000 proposals make batches of 9,375 rows: one default chunk each,
+        # or nine chunks of 1,000 and a partial one.
+        default = alpha_monte_carlo(a, 4, 0, 0.6, 300_000, RngStream(59))
+        monkeypatch.setattr(conditional, "_CHUNK_ROWS", 1000)
+        chunked = alpha_monte_carlo(a, 4, 0, 0.6, 300_000, RngStream(59))
+        assert np.array_equal(default.values, chunked.values)
+        assert np.array_equal(default.standard_errors, chunked.standard_errors)
+        assert default.accepted == chunked.accepted
 
 
 class TestSectionCovariance:

@@ -15,7 +15,12 @@ from precisionlab import (
     subspace_intersection_dim,
     sym_sqrt,
 )
-from precisionlab.matcore import numerical_rank, psd_certificate, pseudo_inverse
+from precisionlab.matcore import (
+    check_symmetric,
+    numerical_rank,
+    psd_certificate,
+    pseudo_inverse,
+)
 
 
 class TestSymSqrt:
@@ -206,6 +211,12 @@ class TestNonFiniteInput:
         for fn in (psd_certificate, cholesky_logdet, sym_sqrt, numerical_rank):
             with pytest.raises(InvalidParamsError):
                 fn(a)
+
+    def test_entries_near_float_max_stay_finite(self):
+        a = np.array([[1.5e308, 1.0], [1.0 + 1e-15, 1.0]])
+        m = check_symmetric(a)
+        assert m[0, 0] == 1.5e308
+        assert m[0, 1] == m[1, 0] == 0.5 + 0.5 * (1.0 + 1e-15)
 
 
 class TestPsdCertificate:

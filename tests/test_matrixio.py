@@ -17,6 +17,11 @@ class TestLoad:
         path = write(tmp_path, dump_symmetric_matrix(a))
         assert np.array_equal(load_symmetric_matrix(path), a)
 
+    def test_entries_near_float_max_load_finite(self, tmp_path):
+        path = write(tmp_path, "2\n1.5e308 -1e308\n-1e308 1.7e308\n")
+        m = load_symmetric_matrix(path)
+        assert np.array_equal(m, np.array([[1.5e308, -1e308], [-1e308, 1.7e308]]))
+
     def test_trailing_blank_lines_ok(self, tmp_path):
         path = write(tmp_path, "2\n1 0\n0 1\n\n\n")
         assert np.array_equal(load_symmetric_matrix(path), np.eye(2))
