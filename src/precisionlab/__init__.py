@@ -39,7 +39,6 @@ from .detection import (
     symmetrize_detector,
     three_way_ceiling,
     trace_threshold_detector,
-    true_section_rank,
     two_way_ceiling,
 )
 from .errors import (
@@ -71,9 +70,7 @@ from .sampler import (
     RngStream,
     deficient_batches,
     haar_rotation_many,
-    sample_batch,
     standard_batches,
-    uniform_sphere,
     uniform_sphere_many,
 )
 from .tvbounds import (

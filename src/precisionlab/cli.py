@@ -31,7 +31,7 @@ from .detection import (
 from .errors import InvariantViolationError, PrecisionLabError
 from .matrixio import load_symmetric_matrix
 from .parallel import concat_batches, run_batched
-from .sampler import RngStream, uniform_sphere
+from .sampler import RngStream, uniform_sphere_many
 from .tvbounds import tv_closed_form_bound, tv_report, validate_chain
 from .wishart import WishartParams, det_moments, wishart_samples
 
@@ -338,7 +338,7 @@ def cmd_game(args) -> int:
     elif args.mode == "fixed-theta":
         name = args.detector or "lr"
         detector = make_detector(name, args.n, args.d, 1)
-        theta = uniform_sphere(args.d, RngStream(args.theta_seed, _THETA_STREAM_ID))
+        theta = uniform_sphere_many(args.d, 1, RngStream(args.theta_seed, _THETA_STREAM_ID))[0]
         extra["theta_seed"] = args.theta_seed
         report = run_fixed_theta_game(args.n, args.d, theta, detector, args.trials,
                                       rng, workers=args.workers)

@@ -47,11 +47,6 @@ MIN_GAME_TRIALS = 10_000
 PLANE_COMPONENT_TOL = 1e-8
 
 
-def true_section_rank(a) -> int:
-    """Rank of the planar-section covariance of a PSD matrix."""
-    return section_covariance(a).rank
-
-
 @dataclass(frozen=True, eq=False)
 class Detector:
     """A guessing rule: a stack of batches to guesses.
@@ -132,8 +127,8 @@ class Ensemble:
         if self.kind == "deficient-random":
             return max(2 - self.k, 0)
         if self.kind == "deficient-fixed":
-            return true_section_rank(projector_complement(self.theta))
-        return true_section_rank(self.cov)
+            return section_covariance(projector_complement(self.theta)).rank
+        return section_covariance(self.cov).rank
 
     def sample_many(self, n: int, count: int, rng: RngStream) -> np.ndarray:
         """(count, n, dim) batches; random ensembles redraw per batch."""
@@ -381,14 +376,10 @@ def three_way_ceiling(n: int, d: int) -> float:
 
 
 def _success(
-    ensemble: Ensemble,
-    label: int,
-    detector: Detector,
-    n: int,
-    trials: int,
-    rng: RngStream,
-    workers: int,
+    ensemble: Ensemble, detector: Detector, n: int, trials: int, rng: RngStream, workers: int
 ) -> EnsembleResult:
+    label = ensemble.correct_label()
+
     def batch(count: int, stream: RngStream) -> int:
         guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
         return int(np.count_nonzero(guesses == label))
@@ -399,19 +390,25 @@ def _success(
     return EnsembleResult(ensemble.kind, int(label), p, se)
 
 
-def _build_report(
+def _play(
     mode: str,
     n: int,
     d: int,
     k: int,
+    ensembles: list[Ensemble],
     detector: Detector,
     trials: int,
     rng: RngStream,
-    results: list[EnsembleResult],
+    workers: int,
     ceiling: float,
 ) -> GameReport:
-    joint = float(np.mean([r.success for r in results]))
-    joint_se = math.sqrt(sum(r.standard_error**2 for r in results)) / len(results)
+    """Play ``detector`` against ``ensembles[i]`` on child stream ``i``; equal priors."""
+    if trials < MIN_GAME_TRIALS:
+        raise InvalidParamsError(f"need at least {MIN_GAME_TRIALS} trials, got {trials}")
+    results = [
+        _success(e, detector, n, trials, rng.child(idx), workers)
+        for idx, e in enumerate(ensembles)
+    ]
     return GameReport(
         mode=mode,
         n=int(n),
@@ -422,8 +419,8 @@ def _build_report(
         seed=rng.seed,
         stream_id=rng.stream_id,
         results=tuple(results),
-        joint_success=joint,
-        joint_standard_error=joint_se,
+        joint_success=float(np.mean([r.success for r in results])),
+        joint_standard_error=math.sqrt(sum(r.standard_error**2 for r in results)) / len(results),
         ceiling=ceiling,
     )
 
@@ -439,16 +436,9 @@ def run_two_way_game(
 ) -> GameReport:
     """Full-rank versus random-k-deficiency, equal priors, ``trials`` each."""
     n, d, k = int(n), int(d), int(k)
-    if trials < MIN_GAME_TRIALS:
-        raise InvalidParamsError(f"need at least {MIN_GAME_TRIALS} trials, got {trials}")
-    full = Ensemble.full_rank(d)
-    deficient = Ensemble.deficient_random(d, k)
-    results = [
-        _success(full, full.correct_label(), detector, n, trials, rng.child(0), workers),
-        _success(deficient, deficient.correct_label(), detector, n, trials, rng.child(1), workers),
-    ]
-    return _build_report("two-way", n, d, k, detector, trials, rng, results,
-                         two_way_ceiling(n, d, k))
+    ensembles = [Ensemble.full_rank(d), Ensemble.deficient_random(d, k)]
+    return _play("two-way", n, d, k, ensembles, detector, trials, rng, workers,
+                 two_way_ceiling(n, d, k))
 
 
 def run_fixed_theta_game(
@@ -469,14 +459,9 @@ def run_fixed_theta_game(
             "theta is orthogonal to the span of the first two coordinates; "
             "the section rank does not drop and the game is degenerate"
         )
-    full = Ensemble.full_rank(int(d))
-    deficient = Ensemble.deficient_fixed(t)
-    results = [
-        _success(full, full.correct_label(), detector, n, trials, rng.child(0), workers),
-        _success(deficient, deficient.correct_label(), detector, n, trials, rng.child(1), workers),
-    ]
-    return _build_report("fixed-theta", n, d, 1, detector, trials, rng, results,
-                         two_way_ceiling(n, d, 1))
+    ensembles = [Ensemble.full_rank(int(d)), Ensemble.deficient_fixed(t)]
+    return _play("fixed-theta", n, d, 1, ensembles, detector, trials, rng, workers,
+                 two_way_ceiling(n, d, 1))
 
 
 def run_three_way_game(
@@ -493,14 +478,6 @@ def run_three_way_game(
         raise InvalidParamsError("need dimension at least 3")
     if detector is None:
         detector = bayes_three_way_detector(n, d)
-    ensembles = [
-        Ensemble.full_rank(d),
-        Ensemble.deficient_random(d, 1),
-        Ensemble.deficient_random(d, 2),
-    ]
-    results = [
-        _success(e, e.correct_label(), detector, n, trials, rng.child(idx), workers)
-        for idx, e in enumerate(ensembles)
-    ]
-    return _build_report("three-way", n, d, 2, detector, trials, rng, results,
-                         three_way_ceiling(n, d))
+    ensembles = [Ensemble.full_rank(d)] + [Ensemble.deficient_random(d, k) for k in (1, 2)]
+    return _play("three-way", n, d, 2, ensembles, detector, trials, rng, workers,
+                 three_way_ceiling(n, d))

@@ -2,8 +2,9 @@
 
 Everything downstream (conditioned covariances, ellipse sections, Wishart
 densities, detection games) is built on the handful of operations here:
-PSD square roots, Cholesky log-determinants, eigenvalue pseudo-inverses,
-orthogonal projectors, and principal-angle intersection dimensions.
+the PSD eigendecomposition with its clamp-or-reject rule, PSD square roots,
+Cholesky log-determinants, orthogonal projectors, and principal-angle
+intersection dimensions.
 
 All functions are pure: they take plain float64 ``numpy`` arrays (square,
 symmetric within ``SYM_TOL``) and return fresh arrays.  Matrices stay dense;
@@ -28,8 +29,6 @@ from .errors import (
 # Eigenvalues in [-PSD_REL_TOL * max|eig|, 0) are rounding noise and get
 # clamped to zero; anything below that band means genuinely indefinite input.
 PSD_REL_TOL = 1e-10
-# Relative eigenvalue cutoff for numerical rank and pseudo-inversion.
-RANK_REL_TOL = 1e-8
 # A principal angle whose sine is at most ANGLE_TOL counts as zero, i.e. one
 # shared direction.
 ANGLE_TOL = 1e-8
@@ -58,24 +57,6 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
 def symmetric_part(m: np.ndarray) -> np.ndarray:
     """(m + m') / 2 without overflow; an exactly symmetric m comes back bit for bit."""
     return np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
-
-
-class PsdCertificate(NamedTuple):
-    matrix: np.ndarray
-    min_eigenvalue: float
-    tolerance: float
-
-    @property
-    def is_psd(self) -> bool:
-        return self.min_eigenvalue >= -self.tolerance
-
-
-def psd_certificate(a, rel_tol: float = PSD_REL_TOL) -> PsdCertificate:
-    """Certify positive semi-definiteness up to a relative eigenvalue band."""
-    m = check_symmetric(a)
-    eigs = np.linalg.eigvalsh(m)
-    tol = rel_tol * float(np.max(np.abs(eigs))) if m.size else 0.0
-    return PsdCertificate(m, float(eigs[0]), tol)
 
 
 def psd_eigh(a, rel_tol: float = PSD_REL_TOL):
@@ -115,32 +96,6 @@ def cholesky_logdet(a) -> CholeskyLogdet:
         raise NotPdError("matrix is not positive definite (nonpositive pivot)") from exc
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
     return CholeskyLogdet(factor, logdet)
-
-
-def pseudo_inverse(a, rank_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix via eigendecomposition.
-
-    Eigenvalues below ``rank_tol`` times the largest eigenvalue are treated
-    as exact zeros.
-    """
-    w, v = psd_eigh(a, PSD_REL_TOL)
-    w_max = float(np.max(w))
-    inv = np.zeros_like(w)
-    if w_max > 0.0:
-        keep = w > rank_tol * w_max
-        inv[keep] = 1.0 / w[keep]
-    p = (v * inv) @ v.T
-    return 0.5 * (p + p.T)
-
-
-def numerical_rank(a, rank_tol: float = RANK_REL_TOL) -> int:
-    """Count of eigenvalues above ``rank_tol`` times the largest magnitude."""
-    m = check_symmetric(a)
-    w = np.abs(np.linalg.eigvalsh(m))
-    w_max = float(np.max(w))
-    if w_max == 0.0:
-        return 0
-    return int(np.count_nonzero(w > rank_tol * w_max))
 
 
 def projector_complement(theta, tol: float = 1e-12) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Seeded generation of every stochastic object the laboratory uses.
 
+Every sampler is stacked: it draws ``count`` objects in one call and returns
+them along a leading axis, so a single draw is a stack of one.  Covariance
+ensembles sample through :meth:`precisionlab.detection.Ensemble.sample_many`.
+
 Streams are counter-based (Philox) and keyed by ``(seed, stream_id)``, so a
 stream is reproducible bit for bit from its key alone and child streams for
 batch ``i`` can be derived without coordination.  Monte Carlo sweeps split
@@ -15,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDrawError, InvalidParamsError
-from .matcore import sym_sqrt
 
 _MASK64 = (1 << 64) - 1
 _SPHERE_RETRIES = 100
@@ -54,29 +57,18 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def uniform_sphere(d: int, rng: RngStream) -> np.ndarray:
-    """Uniform point on the unit sphere: a normalized Gaussian draw."""
-    if d < 2:
-        raise InvalidParamsError("sphere sampling needs dimension at least 2")
-    for _ in range(_SPHERE_RETRIES):
-        v = rng.gen.standard_normal(d)
-        nrm = float(np.linalg.norm(v))
-        if nrm > _NORM_FLOOR:
-            return v / nrm
-    raise DegenerateDrawError(f"Gaussian norm underflowed {_SPHERE_RETRIES} times in a row")
-
-
 def uniform_sphere_many(d: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` independent uniform sphere points, shape (count, d)."""
     if d < 2:
         raise InvalidParamsError("sphere sampling needs dimension at least 2")
     v = rng.gen.standard_normal((count, d))
-    for _ in range(_SPHERE_RETRIES):
+    for attempt in range(_SPHERE_RETRIES):
+        if attempt:
+            v[bad] = rng.gen.standard_normal((int(bad.sum()), d))
         nrm = np.linalg.norm(v, axis=1)
         bad = nrm <= _NORM_FLOOR
         if not bad.any():
             return v / nrm[:, None]
-        v[bad] = rng.gen.standard_normal((int(bad.sum()), d))
     raise DegenerateDrawError(f"Gaussian norm underflowed {_SPHERE_RETRIES} times in a row")
 
 
@@ -97,19 +89,6 @@ def haar_rotation_many(d: int, count: int, rng: RngStream) -> np.ndarray:
     neg = np.linalg.det(q) < 0.0
     q[neg, :, 0] *= -1.0
     return q
-
-
-def sample_batch(cov, n: int, rng: RngStream) -> np.ndarray:
-    """``n`` independent centered Gaussian vectors with covariance ``cov``, shape (n, d).
-
-    Each row is S @ x with S the symmetric PSD square root of ``cov`` and x
-    standard Gaussian, so the population covariance is exactly ``cov``.
-    """
-    if n < 1:
-        raise InvalidParamsError("sample count must be at least 1")
-    s = sym_sqrt(cov)
-    x = rng.gen.standard_normal((n, s.shape[0]))
-    return x @ s
 
 
 def standard_batches(d: int, n: int, count: int, rng: RngStream) -> np.ndarray:

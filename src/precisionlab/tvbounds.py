@@ -108,11 +108,9 @@ def tv_exact_mc(
     n: int, d: int, trials: int, rng: RngStream, workers: int = 1, reverse: bool = False
 ) -> McEstimate:
     """Monte Carlo estimate of the exact total variation, with standard error."""
-    values, _ = _collect_ratio_values(n, d, trials, rng, workers, reverse)
-    absdev = np.abs(1.0 - values)
-    est = 0.5 * float(np.mean(absdev))
-    se = 0.5 * float(np.std(absdev, ddof=1)) / math.sqrt(len(absdev))
-    return McEstimate(est, se)
+    values, sizes = _collect_ratio_values(n, d, trials, rng, workers, reverse)
+    tv, tv_se, _, _ = _chain_stats(values, sizes)
+    return McEstimate(tv, tv_se)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,12 @@ class TestGameCommand:
         assert doc["theta_seed"] == 3
         assert "success_rank1" in doc and "success_rank2" in doc
 
+    @pytest.mark.parametrize("mode", ["two-way", "three-way", "fixed-theta"])
+    def test_trial_floor_exit_code(self, mode, capsys):
+        code = main(["game", "--mode", mode, "--n", "2", "--d", "8", "--trials", "9999"])
+        assert code == 2
+        assert "at least 10000 trials" in capsys.readouterr().err
+
     def test_determinism_across_workers(self, tmp_path):
         base = ["game", "--mode", "two-way", "--n", "2", "--d", "10",
                 "--trials", "10000", "--seed", "9"]

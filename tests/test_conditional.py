@@ -19,7 +19,7 @@ from precisionlab import (
     projector_complement,
     section_covariance,
     sym_sqrt,
-    uniform_sphere,
+    uniform_sphere_many,
 )
 from precisionlab import conditional
 from precisionlab.conditional import _invert_2x2
@@ -238,9 +238,7 @@ class TestSectionCovariance:
         assert np.max(np.abs(result.matrix - 0.25 * np.eye(2))) < 1e-10
 
     def test_random_directions_give_rank_one(self):
-        rng = RngStream(62)
-        for _ in range(2000):
-            theta = uniform_sphere(5, rng)
+        for theta in uniform_sphere_many(5, 2000, RngStream(62)):
             assert section_covariance(projector_complement(theta)).rank == 1
 
     def test_random_two_dim_deficiency_gives_rank_zero(self):
@@ -268,6 +266,14 @@ class TestSectionCovariance:
         result = section_covariance(a)
         assert result.rank == 2
         assert np.max(np.abs(result.matrix - np.diag([1.0, 0.25]))) < 1e-12
+
+    @pytest.mark.parametrize("s", [1e9, 1e11, 1e13])
+    def test_ill_conditioned_full_rank_is_an_ellipse(self, s):
+        # The rank cutoff follows eigh rounding, not a fixed fraction of the
+        # largest eigenvalue, so a stretched disk stays a disk.
+        result = section_covariance(np.diag([s, 1.0, 1.0]))
+        assert result.rank == 2
+        assert np.allclose(result.matrix, np.diag([s / 4.0, 0.25]), rtol=1e-12, atol=0.0)
 
     def test_rejects_dimension_one(self):
         with pytest.raises(InvalidParamsError):

@@ -23,14 +23,14 @@ from precisionlab import (
     run_fixed_theta_game,
     run_three_way_game,
     run_two_way_game,
+    section_covariance,
     symmetrize_detector,
     three_way_ceiling,
-    true_section_rank,
     tv_chi2_quadrature,
     tv_closed_form_bound,
     tv_exact_mc,
     two_way_ceiling,
-    uniform_sphere,
+    uniform_sphere_many,
 )
 from precisionlab import detection
 from precisionlab.detection import _vote
@@ -38,17 +38,14 @@ from precisionlab.detection import _vote
 
 class TestTrueSectionRank:
     def test_identity(self):
-        assert true_section_rank(np.eye(6)) == 2
+        assert section_covariance(np.eye(6)).rank == 2
 
     def test_random_direction_projectors(self):
-        rng = RngStream(90)
-        assert all(
-            true_section_rank(projector_complement(uniform_sphere(6, rng))) == 1
-            for _ in range(200)
-        )
+        thetas = uniform_sphere_many(6, 200, RngStream(90))
+        assert all(section_covariance(projector_complement(t)).rank == 1 for t in thetas)
 
     def test_plane_killing_projector(self):
-        assert true_section_rank(np.diag([0.0, 0.0, 1.0, 1.0])) == 0
+        assert section_covariance(np.diag([0.0, 0.0, 1.0, 1.0])).rank == 0
 
 
 class TestLrDetector:
@@ -246,6 +243,10 @@ class TestThreeWayGame:
         report = run_three_way_game(2, 8, 10_000, RngStream(111))
         assert sorted(r.label for r in report.results) == [0, 1, 2]
 
+    def test_trial_floor(self):
+        with pytest.raises(InvalidParamsError):
+            run_three_way_game(2, 8, 9_999, RngStream(0))
+
     def test_dimension_validation(self):
         with pytest.raises(InvalidParamsError):
             run_three_way_game(1, 2, 10_000, RngStream(0))
@@ -274,6 +275,12 @@ class TestFixedThetaGame:
                                       RngStream(112))
         assert report.joint_success == 0.5
 
+    def test_trial_floor(self):
+        theta = np.zeros(6)
+        theta[0] = 1.0
+        with pytest.raises(InvalidParamsError):
+            run_fixed_theta_game(2, 6, theta, lr_detector(2, 6), 9_999, RngStream(0))
+
     def test_direction_orthogonal_to_plane_rejected(self):
         theta = np.zeros(6)
         theta[5] = 1.0
@@ -286,7 +293,7 @@ class TestFixedThetaGame:
         n, d = 3, 30
         detector = lr_detector(n, d)
         for seed in range(5):
-            theta = uniform_sphere(d, RngStream(5000 + seed))
+            theta = uniform_sphere_many(d, 1, RngStream(5000 + seed))[0]
             report = run_fixed_theta_game(n, d, theta, detector, 10_000,
                                           RngStream(113 + seed))
             deficient = {r.label: r for r in report.results}[1]
@@ -309,7 +316,7 @@ class TestEnsembles:
         # These draws meet the plane at principal angles of 3.0e-5 and
         # 1.3e-4 rad; neither is a shared direction, so the rank is 0.
         ens, rng = Ensemble.deficient_random(4, 2), RngStream(seed)
-        ranks = [true_section_rank(ens.draw_cov(rng)) for _ in range(draw + 1)]
+        ranks = [section_covariance(ens.draw_cov(rng)).rank for _ in range(draw + 1)]
         assert set(ranks) == {0}
 
     def test_draw_cov_shapes(self):

@@ -12,15 +12,11 @@ from precisionlab import (
     NotUnitVectorError,
     cholesky_logdet,
     projector_complement,
+    psd_eigh,
     subspace_intersection_dim,
     sym_sqrt,
 )
-from precisionlab.matcore import (
-    check_symmetric,
-    numerical_rank,
-    psd_certificate,
-    pseudo_inverse,
-)
+from precisionlab.matcore import check_symmetric
 
 
 class TestSymSqrt:
@@ -91,43 +87,6 @@ class TestCholeskyLogdet:
             cholesky_logdet(np.diag([1.0, 0.0]))
         with pytest.raises(NotPdError):
             cholesky_logdet(np.diag([1.0, -2.0]))
-
-
-class TestPseudoInverse:
-    def test_singular_diagonal(self):
-        assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-
-    def test_identity(self):
-        assert np.allclose(pseudo_inverse(np.eye(5)), np.eye(5))
-
-    def test_projector_is_own_pseudo_inverse(self):
-        theta = np.array([3.0, 4.0, 12.0]) / 13.0
-        p = projector_complement(theta)
-        assert np.max(np.abs(pseudo_inverse(p) - p)) < 1e-10
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_moore_penrose_identities(self, seed):
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        eigs = np.array([3.0, 1.5, 0.7, 0.2, 0.0, 0.0])
-        a = (q * eigs) @ q.T
-        a = 0.5 * (a + a.T)
-        ap = pseudo_inverse(a)
-        assert np.max(np.abs(a @ ap @ a - a)) < 1e-9
-        assert np.max(np.abs(ap @ a @ ap - ap)) < 1e-9
-        assert np.max(np.abs((a @ ap).T - a @ ap)) < 1e-9
-        assert np.max(np.abs((ap @ a).T - ap @ a)) < 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
-            pseudo_inverse(np.diag([1.0, -1.0]))
-
-
-class TestNumericalRank:
-    def test_rank_counts(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
-        assert numerical_rank(np.eye(3)) == 3
-        assert numerical_rank(np.diag([1.0, 1e-12, 0.0])) == 1
 
 
 class TestProjectorComplement:
@@ -208,7 +167,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejected_by_every_primitive(self, value):
         a = np.diag([1.0, 1.0, value])
-        for fn in (psd_certificate, cholesky_logdet, sym_sqrt, numerical_rank):
+        for fn in (check_symmetric, psd_eigh, cholesky_logdet, sym_sqrt):
             with pytest.raises(InvalidParamsError):
                 fn(a)
 
@@ -220,11 +179,14 @@ class TestNonFiniteInput:
 
 
 class TestPsdCertificate:
+    """``psd_eigh`` is the one PSD certificate: it clamps the rounding band and rejects the rest."""
+
     def test_certifies_psd(self):
-        cert = psd_certificate(np.diag([2.0, 0.0]))
-        assert cert.is_psd
-        assert cert.min_eigenvalue == pytest.approx(0.0, abs=1e-14)
+        w, v = psd_eigh(np.diag([2.0, 0.0]))
+        assert w[0] == pytest.approx(0.0, abs=1e-14)
+        assert np.allclose((v * w) @ v.T, np.diag([2.0, 0.0]), atol=1e-14)
+        assert psd_eigh(np.diag([1.0, -1e-14]))[0][0] == 0.0
 
     def test_rejects_indefinite(self):
-        cert = psd_certificate(np.diag([1.0, -0.5]))
-        assert not cert.is_psd
+        with pytest.raises(NotPsdError):
+            psd_eigh(np.diag([1.0, -0.5]))

@@ -7,6 +7,7 @@ import pytest
 import helpers
 from precisionlab import (
     DegenerateDrawError,
+    Ensemble,
     InvalidParamsError,
     NotPsdError,
     RngStream,
@@ -15,11 +16,14 @@ from precisionlab import (
     gram_many,
     haar_rotation_many,
     projector_complement,
-    sample_batch,
     standard_batches,
-    uniform_sphere,
     uniform_sphere_many,
 )
+
+
+def explicit_batch(cov, n, rng):
+    """``n`` Gaussian vectors with covariance ``cov``, shape (n, d)."""
+    return Ensemble.explicit(cov).sample_many(n, 1, rng)[0]
 
 
 class TestRngStream:
@@ -52,11 +56,12 @@ class TestRngStream:
     def test_op_determinism(self):
         assert np.array_equal(standard_batches(4, 1, 1, RngStream(1)),
                               standard_batches(4, 1, 1, RngStream(1)))
-        assert np.array_equal(uniform_sphere(4, RngStream(2)), uniform_sphere(4, RngStream(2)))
+        assert np.array_equal(uniform_sphere_many(4, 3, RngStream(2)),
+                              uniform_sphere_many(4, 3, RngStream(2)))
         assert np.array_equal(haar_rotation_many(4, 1, RngStream(3))[0],
                               haar_rotation_many(4, 1, RngStream(3))[0])
-        x = sample_batch(np.eye(3), 5, RngStream(4))
-        y = sample_batch(np.eye(3), 5, RngStream(4))
+        x = explicit_batch(np.eye(3), 5, RngStream(4))
+        y = explicit_batch(np.eye(3), 5, RngStream(4))
         assert np.array_equal(x, y)
 
 
@@ -87,7 +92,7 @@ class TestUniformSphere:
 
     def test_rejects_dimension_one(self):
         with pytest.raises(InvalidParamsError):
-            uniform_sphere(1, RngStream(0))
+            uniform_sphere_many(1, 1, RngStream(0))
 
     def test_degenerate_draw_surfaces_after_retries(self):
         calls = {"count": 0}
@@ -98,8 +103,23 @@ class TestUniformSphere:
 
         stub = types.SimpleNamespace(gen=types.SimpleNamespace(standard_normal=zeros))
         with pytest.raises(DegenerateDrawError):
-            uniform_sphere(3, stub)
-        assert calls["count"] == 100
+            uniform_sphere_many(3, 1, stub)
+        assert calls["count"] == 100  # every draw is checked; none is wasted
+
+    def test_degenerate_row_is_redrawn(self):
+        shapes = []
+
+        def first_row_zero(shape):
+            shapes.append(shape)
+            v = np.ones(shape)
+            if len(shapes) == 1:
+                v[0] = 0.0
+            return v
+
+        stub = types.SimpleNamespace(gen=types.SimpleNamespace(standard_normal=first_row_zero))
+        pts = uniform_sphere_many(2, 3, stub)
+        assert shapes == [(3, 2), (1, 2)]
+        assert np.array_equal(pts, np.full((3, 2), 1.0 / math.sqrt(2.0)))
 
 
 class TestHaarRotation:
@@ -131,7 +151,7 @@ class TestHaarRotation:
 
 class TestSampleBatch:
     def test_identity_covariance_converges(self):
-        batch = sample_batch(np.eye(3), 1_000_000, RngStream(31))
+        batch = explicit_batch(np.eye(3), 1_000_000, RngStream(31))
         emp = batch.T @ batch / len(batch)
         scale = 1.0 / math.sqrt(len(batch))
         # diag entries have sd sqrt(2)/sqrt(T), off-diag 1/sqrt(T)
@@ -141,17 +161,17 @@ class TestSampleBatch:
 
     def test_projector_covariance_kills_coordinate(self):
         p = projector_complement(np.array([1.0, 0.0, 0.0]))
-        batch = sample_batch(p, 1000, RngStream(32))
+        batch = explicit_batch(p, 1000, RngStream(32))
         assert np.all(batch[:, 0] == 0.0)
 
     def test_scaled_variance(self):
-        batch = sample_batch(np.diag([4.0, 1.0]), 100_000, RngStream(33))
+        batch = explicit_batch(np.diag([4.0, 1.0]), 100_000, RngStream(33))
         v, se = helpers.var_se(batch[:, 0])
         assert abs(v - 4.0) < 5 * se
 
     def test_propagates_not_psd(self):
         with pytest.raises(NotPsdError):
-            sample_batch(np.diag([1.0, -1.0]), 10, RngStream(0))
+            explicit_batch(np.diag([1.0, -1.0]), 10, RngStream(0))
 
 
 def _gram_moment_triple(grams):
