@@ -28,7 +28,7 @@ from .detection import (
     run_three_way_game,
     run_two_way_game,
 )
-from .errors import InvariantViolationError, PrecisionLabError
+from .errors import InvalidParamsError, InvariantViolationError, PrecisionLabError
 from .matrixio import load_symmetric_matrix
 from .parallel import concat_batches, run_batched
 from .sampler import RngStream, uniform_sphere_many
@@ -336,6 +336,8 @@ def cmd_game(args) -> int:
         report = run_three_way_game(args.n, args.d, args.trials, rng,
                                     detector=detector, workers=args.workers)
     elif args.mode == "fixed-theta":
+        if args.k != 1:
+            raise InvalidParamsError(f"fixed-theta mode needs --k 1, got --k {args.k}")
         name = args.detector or "lr"
         detector = make_detector(name, args.n, args.d, 1)
         theta = uniform_sphere_many(args.d, 1, RngStream(args.theta_seed, _THETA_STREAM_ID))[0]

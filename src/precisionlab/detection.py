@@ -16,7 +16,12 @@ except the constant one is a threshold or an argmax on the (logdet, trace)
 statistics of each batch Gram matrix, computed once per stack (the
 pseudo-random baseline hashes the trace), so batches with equal Gram
 matrices always receive equal guesses.  Harnesses split trials over fixed
-batch grids, making reports independent of worker count.
+batch grids, making reports independent of worker count.  They score a
+detector that carries its ``rule(logdet, trace)`` on Bartlett draws of those
+statistics (``wishart.logdet_trace_samples``), since the full-rank, random-
+and fixed-deficiency ensembles have Gram law W(n, p), p = d, d-k or d-1.
+Rule-less detectors (constant, custom, symmetrized), the explicit ensemble
+and n > p sample batches.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .sampler import (
     standard_batches,
 )
 from .tvbounds import tv_closed_form_bound
-from .wishart import gram_many, log_normalizer, logdet_trace_many
+from .wishart import gram_many, log_normalizer, logdet_trace_many, logdet_trace_samples
 
 MIN_GAME_TRIALS = 10_000
 # Norm of the in-plane component below which a direction counts as
@@ -53,11 +58,13 @@ class Detector:
 
     ``evaluate`` maps a (count, n, d) stack of sample batches to a (count,)
     array of rank guesses in {0, 1, 2}; one batch is a stack of one.  It
-    must be safe to call concurrently on distinct stacks.
+    must be safe to call concurrently on distinct stacks.  A Gram-statistic
+    detector also carries its ``rule(logdet, trace) -> guesses``.
     """
 
     identifier: str
     evaluate: Callable[[np.ndarray], np.ndarray]
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def evaluate_batches(detector: Detector, vectors: np.ndarray) -> np.ndarray:
@@ -130,6 +137,10 @@ class Ensemble:
             return section_covariance(projector_complement(self.theta)).rank
         return section_covariance(self.cov).rank
 
+    def gram_dof(self) -> int | None:
+        """Degrees of freedom p of the batch Gram law W(n, p); None if not Wishart."""
+        return None if self.kind == "explicit" else self.dim - self.k
+
     def sample_many(self, n: int, count: int, rng: RngStream) -> np.ndarray:
         """(count, n, dim) batches; random ensembles redraw per batch."""
         if self.kind == "full-rank":
@@ -155,7 +166,7 @@ def _gram_detector(
     def evaluate(vectors: np.ndarray) -> np.ndarray:
         return rule(*logdet_trace_many(gram_many(vectors)))
 
-    return Detector(identifier, evaluate)
+    return Detector(identifier, evaluate, rule)
 
 
 def _threshold_detector(identifier: str, statistic: str, threshold: float, k: int) -> Detector:
@@ -379,9 +390,13 @@ def _success(
     ensemble: Ensemble, detector: Detector, n: int, trials: int, rng: RngStream, workers: int
 ) -> EnsembleResult:
     label = ensemble.correct_label()
+    p = ensemble.gram_dof()
 
     def batch(count: int, stream: RngStream) -> int:
-        guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
+        if detector.rule is not None and p is not None and n <= p:
+            guesses = detector.rule(*logdet_trace_samples((n, p), count, stream))
+        else:
+            guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
         return int(np.count_nonzero(guesses == label))
 
     hits = sum(run_batched(batch, trials, rng, workers=workers))

@@ -5,7 +5,7 @@ Gaussian vectors in dimension p.  The module provides Gram construction,
 the log density on the cone interior (with respect to Lebesgue measure on
 the n(n+1)/2 free upper-triangle coordinates), the log normalizer, exact
 determinant moments, sampling by the defining Gram construction, and
-log-determinant sampling by the Bartlett decomposition.
+Bartlett sampling of the log-determinant, alone or with the trace.
 
 Everything is computed in log space with ``math.lgamma``; the normalizer
 overflows double-precision factorials otherwise.
@@ -132,6 +132,20 @@ def logdet_samples(params, count: int, rng: RngStream) -> np.ndarray:
     if count < 1:
         raise InvalidParamsError("count must be at least 1")
     return sum(np.log(rng.gen.chisquare(p - i, count)) for i in range(n))
+
+
+def logdet_trace_samples(params, count: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent (log det, trace) draws of W(n, p), two (count,) arrays.
+
+    Bartlett: T_ii^2 ~ chi2_{p-i} in the order of ``logdet_samples`` (equal log-determinants,
+    bit for bit), plus one chi2_{n(n-1)/2} for the squares below the diagonal of T.
+    """
+    n, p = _validated(params)
+    if count < 1:
+        raise InvalidParamsError("count must be at least 1")
+    diagonal = [rng.gen.chisquare(p - i, count) for i in range(n)]
+    below = rng.gen.chisquare(n * (n - 1) // 2, count) if n > 1 else 0.0  # df 0 is refused
+    return sum(np.log(c) for c in diagonal), sum(diagonal) + below
 
 
 def logdet_trace_many(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

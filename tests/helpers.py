@@ -135,3 +135,12 @@ def var_se(samples: np.ndarray) -> tuple[float, float]:
     v = float(np.var(x, ddof=1))
     fourth = float(np.mean((x - np.mean(x)) ** 4))
     return v, math.sqrt(max(fourth - v * v, 0.0) / len(x))
+
+
+def moment_gaps(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Gaps between the means and between the variances of two samples, in combined SEs."""
+    gaps = []
+    for stat in (mean_se, var_se):
+        (x, se_x), (y, se_y) = stat(a), stat(b)
+        gaps.append(abs(x - y) / math.hypot(se_x, se_y))
+    return gaps[0], gaps[1]

@@ -192,6 +192,13 @@ class TestGameCommand:
         assert code == 2
         assert "at least 10000 trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["2", "5"])
+    def test_fixed_theta_rejects_deficiency_other_than_one(self, k, capsys):
+        code = main(["game", "--mode", "fixed-theta", "--n", "2", "--d", "8", "--k", k,
+                     "--trials", "10000"])
+        assert code == 2
+        assert f"--k {k}" in capsys.readouterr().err
+
     def test_determinism_across_workers(self, tmp_path):
         base = ["game", "--mode", "two-way", "--n", "2", "--d", "10",
                 "--trials", "10000", "--seed", "9"]

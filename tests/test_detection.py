@@ -34,6 +34,7 @@ from precisionlab import (
 )
 from precisionlab import detection
 from precisionlab.detection import _vote
+from precisionlab.wishart import gram_many, logdet_trace_many, logdet_trace_samples
 
 
 class TestTrueSectionRank:
@@ -166,9 +167,12 @@ class TestTwoWayGame:
         assert two_way_ceiling(3, 30, k=2) == expected
 
     def test_tracing_hooks_are_called_through_module_globals(self, monkeypatch):
-        # Profilers time the game layers by patching these module attributes,
-        # so the game and the detectors must look them up at call time.
-        calls = {"evaluate_batches": 0, "gram_many": 0, "logdet_trace_many": 0}
+        # Profilers time the sample route's layers by patching these module
+        # attributes, so the game and the detectors must look them up at call
+        # time.  A detector with a rule takes the statistic route and calls
+        # none of them.
+        names = ("evaluate_batches", "gram_many", "logdet_trace_many")
+        calls = dict.fromkeys(names, 0)
 
         def counting(name):
             original = getattr(detection, name)
@@ -179,11 +183,15 @@ class TestTwoWayGame:
 
             return wrapper
 
-        detector = lr_detector(3, 30)  # built before patching
-        for name in calls:
+        lr = lr_detector(3, 30)  # both built before patching
+        ruleless = Detector("lr", lr.evaluate)
+        for name in names:
             monkeypatch.setattr(detection, name, counting(name))
-        run_two_way_game(3, 30, detector, 10_000, RngStream(116))
+        run_two_way_game(3, 30, ruleless, 10_000, RngStream(116))
         assert all(count > 0 for count in calls.values()), calls
+        calls.update(dict.fromkeys(names, 0))
+        run_two_way_game(3, 30, lr, 10_000, RngStream(116))
+        assert not any(calls.values()), calls
 
 
 class TestSymmetrize:
@@ -289,15 +297,81 @@ class TestFixedThetaGame:
 
     def test_every_seeded_direction_defeats_the_detector(self):
         # The deficient Gram law does not depend on the direction, so the
-        # criterion failure promised on average must show at each one.
+        # criterion failure promised on average must show at each one.  The
+        # rule-less copy of lr takes the sample route, where theta projects
+        # the draws.
         n, d = 3, 30
-        detector = lr_detector(n, d)
+        detector = Detector("lr", lr_detector(n, d).evaluate)
         for seed in range(5):
             theta = uniform_sphere_many(d, 1, RngStream(5000 + seed))[0]
             report = run_fixed_theta_game(n, d, theta, detector, 10_000,
                                           RngStream(113 + seed))
             deficient = {r.label: r for r in report.results}[1]
             assert deficient.success < 0.9
+
+
+class TestStatisticRoute:
+    """Games score Gram-statistic detectors on Bartlett draws of (logdet, trace)."""
+
+    DRAWS = 200_000
+    CHUNK = 20_000  # keeps the sample route's (chunk, n, d) normals small
+
+    @staticmethod
+    def _ensemble(kind: str) -> tuple[int, Ensemble]:
+        theta30 = uniform_sphere_many(30, 1, RngStream(5100))[0]
+        theta3 = uniform_sphere_many(3, 1, RngStream(5101))[0]
+        return {
+            "full-rank-1-2": (1, Ensemble.full_rank(2)),
+            "random-k1-3-29": (3, Ensemble.deficient_random(30, 1)),
+            "random-k2-2-59": (2, Ensemble.deficient_random(61, 2)),
+            "fixed-3-29": (3, Ensemble.deficient_fixed(theta30)),
+            "fixed-1-2": (1, Ensemble.deficient_fixed(theta3)),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["full-rank-1-2", "random-k1-3-29", "random-k2-2-59",
+                                      "fixed-3-29", "fixed-1-2"])
+    def test_agrees_with_sample_route(self, kind):
+        n, ensemble = self._ensemble(kind)
+        seed = 9100 + 10 * n + ensemble.dim
+        bartlett = logdet_trace_samples((n, ensemble.gram_dof()), self.DRAWS, RngStream(seed))
+        rng = RngStream(seed + 500)
+        parts = [logdet_trace_many(gram_many(ensemble.sample_many(n, self.CHUNK, rng)))
+                 for _ in range(self.DRAWS // self.CHUNK)]
+        for name, a, *chunks in zip(("logdet", "trace"), bartlett, *parts):
+            assert max(helpers.moment_gaps(a, np.concatenate(chunks))) < 5, (name, kind)
+
+    def test_gram_dof(self):
+        assert Ensemble.full_rank(8).gram_dof() == 8
+        assert Ensemble.deficient_random(8, 2).gram_dof() == 6
+        assert Ensemble.deficient_fixed(np.eye(5)[0]).gram_dof() == 4
+        assert Ensemble.explicit(np.eye(5)).gram_dof() is None
+
+    def test_gram_detectors_carry_their_rule(self):
+        for name in registry_names():
+            assert (make_detector(name, 3, 30).rule is None) == (name == "constant"), name
+        assert symmetrize_detector(lr_detector(3, 30), 2, RngStream(0)).rule is None
+
+    def test_constant_detector_keeps_the_sample_route(self):
+        constant = constant_detector()
+        ruleless = Detector("constant", constant.evaluate)
+        assert (run_two_way_game(3, 30, constant, 10_000, RngStream(117))
+                == run_two_way_game(3, 30, ruleless, 10_000, RngStream(117)))
+
+    def test_explicit_ensemble_keeps_the_sample_route(self):
+        lr = lr_detector(2, 6)
+        ensemble = Ensemble.explicit(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
+        a, b = (detection._success(ensemble, det, 2, 10_000, RngStream(118), 1)
+                for det in (lr, Detector("lr", lr.evaluate)))
+        assert a == b
+
+    @pytest.mark.parametrize("name", ["trace", "random"])
+    def test_more_samples_than_deficient_dof_keep_the_sample_route(self, name):
+        # At n = d = 5 the full-rank Gram law W(5, 5) takes the statistic
+        # route; the deficient one has 4 degrees of freedom, so it cannot.
+        detector = make_detector(name, 5, 5)
+        a = run_two_way_game(5, 5, detector, 10_000, RngStream(119))
+        b = run_two_way_game(5, 5, Detector(name, detector.evaluate), 10_000, RngStream(119))
+        assert a.results[1] == b.results[1]
 
 
 class TestEnsembles:

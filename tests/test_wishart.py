@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from precisionlab import (
+    Ensemble,
     InvalidParamsError,
     NotPdError,
     RngStream,
@@ -16,7 +17,7 @@ from precisionlab import (
     log_normalizer,
     wishart_samples,
 )
-from precisionlab.wishart import logdet_samples, logdet_trace_many
+from precisionlab.wishart import logdet_samples, logdet_trace_many, logdet_trace_samples
 
 
 class TestGram:
@@ -236,3 +237,44 @@ class TestBartlettRoute:
             logdet_samples((3, 2), 10, RngStream(0))
         with pytest.raises(InvalidParamsError):
             logdet_samples((1, 2), 0, RngStream(0))
+
+
+class TestStatisticRoute:
+    """``logdet_trace_samples`` against the Gram statistics of sampled batches, its game oracle."""
+
+    DRAWS = 200_000
+    CHUNK = 20_000  # keeps the sample route's (chunk, n, p) normals small
+
+    def _gram_stats(self, n, p, rng):
+        ensemble = Ensemble.full_rank(p)
+        parts = [logdet_trace_many(gram_many(ensemble.sample_many(n, self.CHUNK, rng)))
+                 for _ in range(self.DRAWS // self.CHUNK)]
+        return [np.concatenate(stat) for stat in zip(*parts)]
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 59), (3, 29), (3, 30)])
+    def test_agrees_with_gram_route(self, n, p):
+        seed = 9000 + 100 * n + p
+        bartlett = logdet_trace_samples((n, p), self.DRAWS, RngStream(seed))
+        gram = self._gram_stats(n, p, RngStream(seed + 500))
+        for name, a, b in zip(("logdet", "trace"), bartlett, gram):
+            assert a.shape == (self.DRAWS,)
+            assert max(helpers.moment_gaps(a, b)) < 5, (name, n, p)
+        # The trace is the sum of n*p squared standard normals: chi2_{np}.
+        trace = bartlett[1]
+        for (value, se), exact in ((helpers.mean_se(trace), n * p),
+                                   (helpers.var_se(trace), 2 * n * p)):
+            assert abs(value - exact) < 5 * se, (n, p)
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 59), (3, 30)])
+    def test_logdet_equals_logdet_samples_bitwise(self, n, p):
+        logdet, _ = logdet_trace_samples((n, p), 1000, RngStream(12))
+        assert np.array_equal(logdet, logdet_samples((n, p), 1000, RngStream(12)))
+
+    def test_determinism_and_validation(self):
+        a = logdet_trace_samples((3, 30), 1000, RngStream(13))
+        b = logdet_trace_samples((3, 30), 1000, RngStream(13))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        with pytest.raises(InvalidParamsError):
+            logdet_trace_samples((3, 2), 10, RngStream(0))
+        with pytest.raises(InvalidParamsError):
+            logdet_trace_samples((1, 2), 0, RngStream(0))
