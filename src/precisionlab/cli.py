@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, default=1,
-                   help="deficiency: number of projected-out directions (two-way)")
+                   help="deficiency: number of projected-out directions "
+                        "(two-way; the other modes need 1)")
     p.add_argument("--detector", default=None,
                    help=f"registry name (default: lr, or bayes3 for three-way); "
                         f"one of: {', '.join(registry_names())}")
@@ -330,23 +331,19 @@ def cmd_moments(args) -> int:
 def cmd_game(args) -> int:
     rng = RngStream(args.seed)
     extra: dict = {}
+    if args.mode != "two-way" and args.k != 1:
+        raise InvalidParamsError(f"{args.mode} mode needs --k 1, got --k {args.k}")
+    name = args.detector or ("bayes3" if args.mode == "three-way" else "lr")
+    detector = make_detector(name, args.n, args.d, args.k)
     if args.mode == "three-way":
-        name = args.detector or "bayes3"
-        detector = make_detector(name, args.n, args.d, args.k)
         report = run_three_way_game(args.n, args.d, args.trials, rng,
                                     detector=detector, workers=args.workers)
     elif args.mode == "fixed-theta":
-        if args.k != 1:
-            raise InvalidParamsError(f"fixed-theta mode needs --k 1, got --k {args.k}")
-        name = args.detector or "lr"
-        detector = make_detector(name, args.n, args.d, 1)
         theta = uniform_sphere_many(args.d, 1, RngStream(args.theta_seed, _THETA_STREAM_ID))[0]
         extra["theta_seed"] = args.theta_seed
         report = run_fixed_theta_game(args.n, args.d, theta, detector, args.trials,
                                       rng, workers=args.workers)
     else:
-        name = args.detector or "lr"
-        detector = make_detector(name, args.n, args.d, args.k)
         report = run_two_way_game(args.n, args.d, detector, args.trials, rng,
                                   k=args.k, workers=args.workers)
     return emit(args, _game_doc(report, extra))

@@ -16,8 +16,9 @@ running both code paths rather than hard-coding it.
 
 Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
-The sampler forms ``z @ sqrt(A)`` from elementwise products in fixed chunks:
-a BLAS call inside a batch worker would start threads that fight the workers.
+The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last) and
+screens on the first d - 2 normals; products are elementwise, since BLAS
+inside a batch worker would start threads that fight the workers.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .errors import (
 )
 from .matcore import (
     PSD_REL_TOL,
+    RANK_ROUNDING_MARGIN,
     check_symmetric,
     cholesky_logdet,
     psd_eigh,
     subspace_intersection_dim,
-    sym_sqrt,
 )
 from .parallel import concat_batches, run_batched
 from .sampler import RngStream
@@ -48,9 +49,6 @@ from .sampler import RngStream
 # brute-force slab oracle stops being honest within any sane budget.
 MAX_REJECTION_DIM = 6
 MIN_ACCEPTED = 1000
-# Multiple of the eigh rounding level d * eps * w_max below which an
-# eigenvalue counts as zero in the section rank.
-RANK_ROUNDING_MARGIN = 64
 # Rejection proposals are drawn and masked this many rows at a time, which
 # bounds a batch's working memory whatever the number of trials.
 _CHUNK_ROWS = 1 << 16
@@ -177,21 +175,23 @@ def alpha_monte_carlo(
         raise InvalidParamsError("trials must be positive")
     if min_accepted < 2:
         raise InvalidParamsError("min_accepted must be at least 2 for a standard error")
-    cholesky_logdet(m)  # the conditioned law needs a positive definite covariance
-    s = sym_sqrt(m)
-    others = [k for k in range(d) if k not in (i, j)]
-    s_others, s_pair = s[:, others], s[:, (i, j)]
+    # Pair last: under Y = C z the slab event reads only the first d - 2 normals.
+    order = [k for k in range(d) if k not in (i, j)] + [i, j]
+    c = cholesky_logdet(m[np.ix_(order, order)]).factor
 
-    def columns(z: np.ndarray, s_cols: np.ndarray) -> np.ndarray:
-        # (z @ s)[:, cols] as elementwise products summed over the rows of s.
-        return sum(z[:, r, None] * s_cols[r] for r in range(d))
+    def rows(z: np.ndarray, f: np.ndarray) -> np.ndarray:
+        # z @ f.T as elementwise products summed over the columns of z.
+        return sum(z[:, r, None] * f[:, r] for r in range(z.shape[1]))
 
     def batch(count: int, stream: RngStream) -> np.ndarray:
+        screen, pair = stream.child(0).gen, stream.child(1).gen
         parts = []
         for start in range(0, count, _CHUNK_ROWS):
-            z = stream.gen.standard_normal((min(_CHUNK_ROWS, count - start), d))
-            z = z[np.all(np.abs(columns(z, s_others)) < epsilon, axis=1)]
-            parts.append(columns(z, s_pair))
+            z = screen.standard_normal((min(_CHUNK_ROWS, count - start), d - 2))
+            if d > 2:
+                z = z[np.all(np.abs(rows(z, c[: d - 2, : d - 2])) < epsilon, axis=1)]
+            z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
+            parts.append(rows(z, c[d - 2 :]))
         return concat_batches(parts)
 
     accepted = concat_batches(run_batched(batch, trials, rng, workers=workers))
@@ -201,13 +201,10 @@ def alpha_monte_carlo(
             f"only {count} acceptances out of {trials} proposals "
             f"(need {min_accepted}); widen epsilon or raise trials"
         )
-    prods = np.stack(
-        [accepted[:, 0] ** 2, accepted[:, 0] * accepted[:, 1], accepted[:, 1] ** 2]
-    )
-    means = prods.mean(axis=1)
-    ses = prods.std(axis=1, ddof=1) / math.sqrt(count)
-    values = np.array([[means[0], means[1]], [means[1], means[2]]])
-    errors = np.array([[ses[0], ses[1]], [ses[1], ses[2]]])
+    x, y = accepted.T
+    prods = [x * x, x * y, y * y]
+    values = np.array([p.mean() for p in prods])[[[0, 1], [1, 2]]]
+    errors = np.array([p.std(ddof=1) for p in prods])[[[0, 1], [1, 2]]] / math.sqrt(count)
     return AlphaEstimate(
         pair=(i, j),
         epsilon=float(epsilon),

@@ -33,6 +33,8 @@ PSD_REL_TOL = 1e-10
 # shared direction.
 ANGLE_TOL = 1e-8
 SYM_TOL = 1e-12
+# An eigenvalue below RANK_ROUNDING_MARGIN * d * eps * w_max counts as zero.
+RANK_ROUNDING_MARGIN = 64
 
 
 def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
@@ -88,8 +90,12 @@ class CholeskyLogdet(NamedTuple):
 
 
 def cholesky_logdet(a) -> CholeskyLogdet:
-    """Lower Cholesky factor and log-determinant of a positive definite matrix."""
+    """Lower Cholesky factor and log-determinant of a positive definite matrix;
+    a matrix singular within rounding is refused even if it leaves a tiny pivot."""
     m = check_symmetric(a)
+    w = np.linalg.eigvalsh(m)
+    if not w[0] > RANK_ROUNDING_MARGIN * m.shape[0] * np.finfo(float).eps * w[-1]:
+        raise NotPdError(f"matrix is not positive definite: min eigenvalue {w[0]:.3e}")
     try:
         factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:

@@ -199,6 +199,15 @@ class TestGameCommand:
         assert code == 2
         assert f"--k {k}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["2", "5"])
+    def test_three_way_rejects_deficiency_other_than_one(self, k, capsys):
+        # The three-way game has fixed deficiencies 0, 1 and 2; a detector
+        # built for another --k would be scored against the wrong game.
+        code = main(["game", "--mode", "three-way", "--n", "2", "--d", "8", "--k", k,
+                     "--detector", "trace", "--trials", "10000"])
+        assert code == 2
+        assert f"--k {k}" in capsys.readouterr().err
+
     def test_determinism_across_workers(self, tmp_path):
         base = ["game", "--mode", "two-way", "--n", "2", "--d", "10",
                 "--trials", "10000", "--seed", "9"]

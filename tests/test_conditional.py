@@ -119,6 +119,20 @@ class TestAlphaMonteCarlo:
             deviations.append(float(np.max(np.abs(exact - limit))))
         assert deviations[0] > deviations[1] > deviations[2] > 0.0
 
+    @pytest.mark.parametrize("i, j, eps", [(0, 1, 0.2), (1, 2, 0.1)])
+    def test_standard_error_is_calibrated_across_seeds(self, i, j, eps):
+        # Seeds fixed once; each moment's z-scores over 30 runs should look N(0, 1).
+        exact = helpers.alpha_slab_exact_3d(TRIDIAGONAL, i, j, eps)
+        z = []
+        for seed in range(8100, 8130):
+            est = alpha_monte_carlo(TRIDIAGONAL, i, j, eps, 1_000_000, RngStream(seed),
+                                    workers=2)
+            z.append(((est.values - exact) / est.standard_errors)[[0, 0, 1], [0, 1, 1]])
+        z = np.array(z)
+        sd = z.std(axis=0, ddof=1)
+        assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z
+        assert np.all((sd >= 0.6) & (sd <= 1.4)), z
+
     def test_acceptance_rate_reported(self):
         est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, epsilon=0.3, trials=100_000,
                                 rng=RngStream(54))
@@ -161,9 +175,32 @@ class TestAlphaMonteCarlo:
                               min_accepted=min_accepted)
 
 
-def _product_route(a, i, j, epsilon, trials, rng):
-    """``alpha_monte_carlo``'s batch grid and draws, with one ``z @ sqrt(a)``
-    product per batch: the moment means and the accepted count."""
+def _moments(y):
+    """Second-moment means of the accepted pairs and their standard errors."""
+    prods = np.stack([y[:, 0] ** 2, y[:, 0] * y[:, 1], y[:, 1] ** 2])
+    return prods.mean(axis=1), prods.std(axis=1, ddof=1) / math.sqrt(len(y))
+
+
+def _triangular_route(a, i, j, epsilon, trials, rng):
+    """``alpha_monte_carlo``'s batch grid and child streams, with one ``z @ C.T``
+    product per batch (C the Cholesky factor of ``a`` with the pair ordered
+    last): the accepted pairs."""
+    d = a.shape[0]
+    order = [k for k in range(d) if k not in (i, j)] + [i, j]
+    c = np.linalg.cholesky(a[np.ix_(order, order)])
+    parts = []
+    for index, count in enumerate(batch_counts(trials)):
+        stream = rng.child(index)
+        z = stream.child(0).gen.standard_normal((count, d - 2))
+        z = z[np.all(np.abs(z @ c[: d - 2, : d - 2].T) < epsilon, axis=1)]
+        z = np.hstack([z, stream.child(1).gen.standard_normal((len(z), 2))])
+        parts.append((z @ c.T)[:, d - 2 :])
+    return np.concatenate(parts)
+
+
+def _symmetric_root_route(a, i, j, epsilon, trials, rng):
+    """The former sampler: every proposal draws d normals and forms
+    ``z @ sqrt(a)``; the accepted pairs."""
     d = a.shape[0]
     s = sym_sqrt(a)
     others = [k for k in range(d) if k not in (i, j)]
@@ -171,22 +208,33 @@ def _product_route(a, i, j, epsilon, trials, rng):
     for index, count in enumerate(batch_counts(trials)):
         y = rng.child(index).gen.standard_normal((count, d)) @ s
         parts.append(y[np.all(np.abs(y[:, others]) < epsilon, axis=1)][:, (i, j)])
-    y = np.concatenate(parts)
-    return np.array([[np.mean(y[:, 0] ** 2), np.mean(y[:, 0] * y[:, 1])],
-                     [np.mean(y[:, 0] * y[:, 1]), np.mean(y[:, 1] ** 2)]]), len(y)
+    return np.concatenate(parts)
 
 
 class TestAlphaRoutes:
-    """The worker path (elementwise, chunked) against the plain matrix product."""
+    """The worker path (elementwise, chunked) against plain matrix products."""
 
     @pytest.mark.parametrize("d, i, j", [(2, 0, 1), (3, 1, 2), (3, 2, 0), (5, 4, 0), (6, 0, 1)])
     def test_matches_matrix_product_route(self, d, i, j):
         a = helpers.random_spd(d, seed=5000 + 10 * d + i)
         est = alpha_monte_carlo(a, i, j, 0.8, 200_000, RngStream(58), workers=2,
                                 min_accepted=100)
-        values, accepted = _product_route(a, i, j, 0.8, 200_000, RngStream(58))
-        assert est.accepted == accepted
+        y = _triangular_route(a, i, j, 0.8, 200_000, RngStream(58))
+        values = _moments(y)[0][[0, 1, 1, 2]].reshape(2, 2)
+        assert est.accepted == len(y)
         assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 1, 2, 0.3, 400_000),
+                                                      (5, 4, 0, 1.0, 600_000),
+                                                      (6, 2, 5, 1.2, 1_000_000)])
+    def test_same_law_as_symmetric_root_route(self, d, i, j, eps, trials):
+        # Seeds fixed once; the two square roots of A give the same proposal law.
+        a = helpers.random_spd(d, seed=5100 + d)
+        est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(5200 + d), workers=2)
+        means, ses = _moments(_symmetric_root_route(a, i, j, eps, trials, RngStream(5300 + d)))
+        new = est.values[[0, 0, 1], [0, 1, 1]]
+        new_se = est.standard_errors[[0, 0, 1], [0, 1, 1]]
+        assert np.all(np.abs(new - means) < 4 * np.hypot(new_se, ses)), (new, means)
 
     def test_chunk_size_does_not_change_estimate(self, monkeypatch):
         a = helpers.random_spd(5, seed=5005)

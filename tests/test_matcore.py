@@ -88,6 +88,13 @@ class TestCholeskyLogdet:
         with pytest.raises(NotPdError):
             cholesky_logdet(np.diag([1.0, -2.0]))
 
+    def test_rejects_singular_matrix_that_factors_with_a_tiny_pivot(self):
+        # Rank 2 in exact arithmetic; rounding may leave the last Cholesky
+        # pivot near 1e-8 instead of zero, and the factor must not be trusted.
+        b = np.array([[2.7, 0.1], [2.9, -2.5], [0.6, -0.7]])
+        with pytest.raises(NotPdError):
+            cholesky_logdet(b @ b.T)
+
 
 class TestProjectorComplement:
     def test_axis_direction(self):

@@ -1,5 +1,7 @@
 """Property tests over the primitives, driven by hypothesis."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precisionlab import (
+    PrecisionLabError,
+    RngStream,
     alpha_analytic,
+    alpha_monte_carlo,
     conditional_covariance_schur,
     dump_symmetric_matrix,
     load_symmetric_matrix,
     section_covariance,
 )
+from precisionlab.cli import main
 
 
 @st.composite
@@ -36,6 +42,39 @@ def test_alpha_analytic_equals_schur(a, data):
     schur = conditional_covariance_schur(a, i, j)
     rel = np.max(np.abs(alpha - schur)) / np.max(np.abs(schur))
     assert rel <= 1e-14 * np.linalg.cond(a)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Singular or indefinite symmetric matrix of dimension 3..6.
+
+    k in {1, 2} eigenvalues are zero, or one shared negative value, in a
+    uniformly random frame; the positive ones span up to three decades.
+    """
+    d = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 2))
+    low = draw(st.one_of(st.just(0.0), st.floats(-1e3, -1e-3)))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                        .standard_normal((d, d)))
+    cond = 10.0 ** draw(st.floats(0.0, 3.0))
+    a = (q * np.concatenate([np.full(k, low), np.geomspace(1.0, cond, d - k)])) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@given(degenerate_matrices())
+def test_degenerate_matrix_raises_typed_error_for_every_pair(tmp_path_factory, a):
+    # Rounding leaves many singular matrices with positive Cholesky pivots;
+    # none may reach a linear solve or the sampler, and no LinAlgError leaks.
+    path = tmp_path_factory.mktemp("degenerate") / "m.txt"
+    path.write_text(dump_symmetric_matrix(a))
+    for i, j in permutations(range(a.shape[0]), 2):
+        with pytest.raises(PrecisionLabError):
+            alpha_analytic(a, i, j)
+        with pytest.raises(PrecisionLabError):
+            alpha_monte_carlo(a, i, j, 0.5, 1000, RngStream(0))
+        argv = ["alpha", "--matrix-file", str(path), "--i", str(i + 1), "--j", str(j + 1),
+                "--trials", "1000"]
+        assert main(argv) == 2
 
 
 @st.composite
