@@ -12,16 +12,16 @@ laws; the likelihood-ratio detector attains that cap.
 
 A detector maps a (count, n, d) stack of sample batches to a guess in
 {0, 1, 2} per batch; one batch is a stack of one.  Every shipped detector
-except the constant one is a threshold or an argmax on the (logdet, trace)
-statistics of each batch Gram matrix, computed once per stack (the
-pseudo-random baseline hashes the trace), so batches with equal Gram
-matrices always receive equal guesses.  Harnesses split trials over fixed
-batch grids, making reports independent of worker count.  They score a
-detector that carries its ``rule(logdet, trace)`` on Bartlett draws of those
-statistics (``wishart.logdet_trace_samples``), since the full-rank, random-
-and fixed-deficiency ensembles have Gram law W(n, p), p = d, d-k or d-1.
-Rule-less detectors (constant, custom, symmetrized), the explicit ensemble
-and n > p sample batches.
+except the constant one reads a single statistic of each batch Gram matrix,
+its log-determinant or its trace, through thresholds (the pseudo-random
+baseline hashes the trace), so batches with equal Gram matrices always
+receive equal guesses.  Harnesses split trials over fixed batch grids,
+making reports independent of worker count.  They score a detector that
+carries its ``statistic`` and ``rule`` on direct draws of that statistic
+alone (``wishart.logdet_samples`` or ``wishart.trace_samples``), since the
+full-rank, random- and fixed-deficiency ensembles have Gram law W(n, p),
+p = d, d-k or d-1.  Rule-less detectors (constant, custom, symmetrized),
+the explicit ensemble and n > p sample batches.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .sampler import (
     standard_batches,
 )
 from .tvbounds import tv_closed_form_bound
-from .wishart import gram_many, log_normalizer, logdet_trace_many, logdet_trace_samples
+from .wishart import gram_many, log_normalizer, logdet_samples, logdet_trace_many, trace_samples
 
 MIN_GAME_TRIALS = 10_000
 # Norm of the in-plane component below which a direction counts as
@@ -59,12 +59,13 @@ class Detector:
     ``evaluate`` maps a (count, n, d) stack of sample batches to a (count,)
     array of rank guesses in {0, 1, 2}; one batch is a stack of one.  It
     must be safe to call concurrently on distinct stacks.  A Gram-statistic
-    detector also carries its ``rule(logdet, trace) -> guesses``.
+    detector also carries its ``statistic`` ("logdet" or "trace") and ``rule(values)``.
     """
 
     identifier: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    statistic: str | None = None
+    rule: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def evaluate_batches(detector: Detector, vectors: np.ndarray) -> np.ndarray:
@@ -159,14 +160,15 @@ class Ensemble:
 
 
 def _gram_detector(
-    identifier: str, rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    identifier: str, statistic: str, rule: Callable[[np.ndarray], np.ndarray]
 ) -> Detector:
-    """Detector applying ``rule(logdet, trace)`` to the Gram statistics of each batch."""
+    """Detector applying ``rule`` to the Gram ``statistic`` ("logdet" or "trace") of each batch."""
+    column = ("logdet", "trace").index(statistic)
 
     def evaluate(vectors: np.ndarray) -> np.ndarray:
-        return rule(*logdet_trace_many(gram_many(vectors)))
+        return rule(logdet_trace_many(gram_many(vectors))[column])
 
-    return Detector(identifier, evaluate, rule)
+    return Detector(identifier, evaluate, statistic, rule)
 
 
 def _threshold_detector(identifier: str, statistic: str, threshold: float, k: int) -> Detector:
@@ -177,11 +179,10 @@ def _threshold_detector(identifier: str, statistic: str, threshold: float, k: in
     """
     deficient_label = max(2 - k, 0)
 
-    def rule(logdet: np.ndarray, trace: np.ndarray) -> np.ndarray:
-        value = logdet if statistic == "logdet" else trace
-        return np.where(value >= threshold, 2, deficient_label)
+    def rule(values: np.ndarray) -> np.ndarray:
+        return np.where(values >= threshold, 2, deficient_label)
 
-    return _gram_detector(identifier, rule)
+    return _gram_detector(identifier, statistic, rule)
 
 
 def lr_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -241,29 +242,28 @@ def _trace_hash_guesses(traces: np.ndarray) -> np.ndarray:
 
 def random_guess_detector() -> Detector:
     """Uniform-looking guesser implemented as a hash of the Gram trace."""
-    return _gram_detector("random", lambda logdet, trace: _trace_hash_guesses(trace))
+    return _gram_detector("random", "trace", _trace_hash_guesses)
 
 
 def bayes_three_way_detector(n: int, d: int) -> Detector:
     """Equal-prior Bayes rule over Gram degrees of freedom {d, d-1, d-2}.
 
-    The trace term of the log density is common to all three hypotheses, so
-    the rule depends on the Gram log-determinant alone.  Ties break toward
-    the higher degrees-of-freedom hypothesis.
+    The trace term is common to the three log densities and their slopes
+    (p - n - 1)/2 in logdet step by 1/2, so p beats p - 1 iff logdet >=
+    2 (logZ(n, p) - logZ(n, p - 1)); the guess counts the two crossings
+    that logdet reaches.  Ties go to the higher degrees of freedom.
     """
     n, d = int(n), int(d)
     if d < 3:
         raise InvalidParamsError("need dimension at least 3")
     if not 1 <= n <= d - 2:
         raise InvalidParamsError(f"need 1 <= n <= d-2 for all three densities, got n={n}")
-    hypotheses = [(0.5 * (p - n - 1), log_normalizer((n, p))) for p in (d, d - 1, d - 2)]
-    labels = np.array([2, 1, 0], dtype=np.int64)
+    lo, hi = (2.0 * (log_normalizer((n, p)) - log_normalizer((n, p - 1))) for p in (d - 1, d))
 
-    def rule(logdet: np.ndarray, trace: np.ndarray) -> np.ndarray:
-        scores = np.stack([c * logdet - z for c, z in hypotheses])
-        return labels[np.argmax(scores, axis=0)]  # argmax takes the first max
+    def rule(logdet: np.ndarray) -> np.ndarray:
+        return np.add(logdet >= lo, logdet >= hi, dtype=np.int64)
 
-    return _gram_detector("bayes3", rule)
+    return _gram_detector("bayes3", "logdet", rule)
 
 
 DETECTOR_FACTORIES: dict[str, Callable[[int, int, int], Detector]] = {
@@ -391,10 +391,11 @@ def _success(
 ) -> EnsembleResult:
     label = ensemble.correct_label()
     p = ensemble.gram_dof()
+    draw = logdet_samples if detector.statistic == "logdet" else trace_samples
 
     def batch(count: int, stream: RngStream) -> int:
         if detector.rule is not None and p is not None and n <= p:
-            guesses = detector.rule(*logdet_trace_samples((n, p), count, stream))
+            guesses = detector.rule(draw((n, p), count, stream))
         else:
             guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
         return int(np.count_nonzero(guesses == label))

@@ -45,14 +45,14 @@ def check_symmetric(a, tol: float = SYM_TOL) -> np.ndarray:
     """
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidParamsError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
+        raise InvalidParamsError("matrix dimension must be at least 1")
     if not np.isfinite(m).all():
         raise InvalidParamsError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if float(np.max(np.abs(m - m.T))) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
+        raise InvalidParamsError("matrix is not symmetric within tolerance")
     return symmetric_part(m)
 
 
@@ -143,6 +143,6 @@ def subspace_intersection_dim(
     if u.shape[0] == 0 or v.shape[0] == 0:
         return 0
     if u.shape[1] != v.shape[1]:
-        raise ValueError("bases live in different ambient dimensions")
+        raise InvalidParamsError("bases live in different ambient dimensions")
     sines = np.linalg.svd(u - (u @ v.T) @ v, compute_uv=False)
     return int(np.count_nonzero(sines <= angle_tol))

@@ -15,9 +15,10 @@ and the full inequality chain with standard errors, plus an adaptive-Simpson
 quadrature oracle for the n = 1 case (a plain chi-square pair).
 
 The Monte Carlo estimators need only log det G, which they draw by the
-Bartlett decomposition: log det W(n, p) is a sum of n independent log
-chi-squares with p, p-1, ..., p-n+1 degrees of freedom.  Each trial costs n
-chi-square draws instead of n*p normals, a Gram product and a slogdet.
+Bartlett decomposition (``wishart.logdet_samples``): log det W(n, p) is a
+sum of n independent log chi-squares with p, p-1, ..., p-n+1 degrees of
+freedom, and each consecutive pair is drawn as one log gamma.  Each trial
+costs ceil(n/2) draws instead of n*p normals, a Gram product and a slogdet.
 """
 
 from __future__ import annotations

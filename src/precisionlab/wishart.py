@@ -5,7 +5,8 @@ Gaussian vectors in dimension p.  The module provides Gram construction,
 the log density on the cone interior (with respect to Lebesgue measure on
 the n(n+1)/2 free upper-triangle coordinates), the log normalizer, exact
 determinant moments, sampling by the defining Gram construction, and
-Bartlett sampling of the log-determinant, alone or with the trace.
+sampling of the log-determinant (Bartlett, in ceil(n/2) draws) and of the
+trace (one chi-square) each on its own.
 
 Everything is computed in log space with ``math.lgamma``; the normalizer
 overflows double-precision factorials otherwise.
@@ -30,11 +31,13 @@ class WishartParams(NamedTuple):
     p: int
 
 
-def _validated(params) -> WishartParams:
+def _validated(params, count: int = 1) -> WishartParams:
     n, p = params
     n, p = int(n), int(p)
     if not 1 <= n <= p:
         raise InvalidParamsError(f"need 1 <= n <= p, got n={n}, p={p}")
+    if count < 1:
+        raise InvalidParamsError("count must be at least 1")
     return WishartParams(n, p)
 
 
@@ -112,9 +115,7 @@ def wishart_samples(params, count: int, rng: RngStream) -> np.ndarray:
     Gaussian vectors in dimension p, so distributional tests compare like
     with like.  No triangular-factor shortcut.
     """
-    n, p = _validated(params)
-    if count < 1:
-        raise InvalidParamsError("count must be at least 1")
+    n, p = _validated(params, count)
     x = rng.gen.standard_normal((count, n, p))
     return x @ x.transpose(0, 2, 1)
 
@@ -124,28 +125,22 @@ def logdet_samples(params, count: int, rng: RngStream) -> np.ndarray:
 
     Bartlett decomposition: det W(n, p) is the product of n independent
     chi-squares with p, p-1, ..., p-n+1 degrees of freedom (Anderson, *An
-    Introduction to Multivariate Statistical Analysis*, section 7.2), so n
-    draws replace the n*p normals, Gram product and slogdet of the Gram
-    construction.  ``tests/test_wishart.py`` pins it to ``wishart_samples``.
+    Introduction to Multivariate Statistical Analysis*, section 7.2).  By
+    Legendre's duplication formula chi2_q * chi2_{q-1} ~ Gamma(q-1)^2, so one
+    gamma draw replaces each consecutive pair and odd n ends on chi2_{p-n+1}:
+    ceil(n/2) draws replace the n*p normals, Gram product and slogdet.
+    ``tests/test_wishart.py`` pins it to ``wishart_samples``.
     """
-    n, p = _validated(params)
-    if count < 1:
-        raise InvalidParamsError("count must be at least 1")
-    return sum(np.log(rng.gen.chisquare(p - i, count)) for i in range(n))
+    n, p = _validated(params, count)
+    pairs = [2.0 * np.log(rng.gen.standard_gamma(p - i - 1, count)) for i in range(0, n - 1, 2)]
+    odd = [np.log(rng.gen.chisquare(p - n + 1, count))] if n % 2 else []
+    return sum(pairs + odd)
 
 
-def logdet_trace_samples(params, count: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` independent (log det, trace) draws of W(n, p), two (count,) arrays.
-
-    Bartlett: T_ii^2 ~ chi2_{p-i} in the order of ``logdet_samples`` (equal log-determinants,
-    bit for bit), plus one chi2_{n(n-1)/2} for the squares below the diagonal of T.
-    """
-    n, p = _validated(params)
-    if count < 1:
-        raise InvalidParamsError("count must be at least 1")
-    diagonal = [rng.gen.chisquare(p - i, count) for i in range(n)]
-    below = rng.gen.chisquare(n * (n - 1) // 2, count) if n > 1 else 0.0  # df 0 is refused
-    return sum(np.log(c) for c in diagonal), sum(diagonal) + below
+def trace_samples(params, count: int, rng: RngStream) -> np.ndarray:
+    """``count`` independent draws of trace W(n, p), the sum of n*p squared normals: chi2_{np}."""
+    n, p = _validated(params, count)
+    return rng.gen.chisquare(n * p, count)
 
 
 def logdet_trace_many(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from precisionlab import (
     constant_detector,
     evaluate_batches,
     haar_rotation_many,
+    log_normalizer,
     lr_detector,
     make_detector,
     projector_complement,
@@ -34,7 +35,7 @@ from precisionlab import (
 )
 from precisionlab import detection
 from precisionlab.detection import _vote
-from precisionlab.wishart import gram_many, logdet_trace_many, logdet_trace_samples
+from precisionlab.wishart import gram_many, logdet_samples, logdet_trace_many, trace_samples
 
 
 class TestTrueSectionRank:
@@ -262,6 +263,47 @@ class TestThreeWayGame:
             bayes_three_way_detector(3, 4)
 
 
+class TestBayesThreeWayThresholds:
+    """``bayes3`` as two log-determinant thresholds against the three-way argmax it replaces."""
+
+    @staticmethod
+    def _thresholds(n, d):
+        return tuple(2.0 * (log_normalizer((n, p)) - log_normalizer((n, p - 1)))
+                     for p in (d - 1, d))
+
+    def test_thresholds_increase_over_the_grid(self):
+        # hi - lo is twice the second difference of logZ(n, p) in p.  The terms
+        # of logZ linear in p cancel there, leaving sum_i lgamma((p + 1 - i)/2).
+        smallest = math.inf
+        lgammas = {p: np.cumsum([math.lgamma(0.5 * (p + 1 - i)) for i in range(1, p + 1)])
+                   for p in range(1, 301)}
+        for d in range(3, 301):
+            gaps = 2.0 * (lgammas[d][:d - 2] - 2.0 * lgammas[d - 1][:d - 2]
+                          + lgammas[d - 2][:d - 2])
+            smallest = min(smallest, float(np.min(gaps)))
+        assert smallest > 3e-3
+        for n, d in ((1, 3), (2, 60), (50, 300), (298, 300)):
+            lo, hi = self._thresholds(n, d)
+            assert hi - lo > 3e-3, (n, d)
+
+    @pytest.mark.parametrize("n,d", [(2, 60), (3, 30), (1, 3), (5, 8), (50, 300)])
+    def test_labels_match_argmax_reference(self, n, d):
+        lo, hi = self._thresholds(n, d)
+        rng = RngStream(6000 + 10 * n + d)
+        random = [logdet_samples((n, p), 100_000, rng) for p in (d, d - 1, d - 2)]
+        width = max(hi - lo, 1.0)
+        grid = np.linspace(lo - 10.0 * width, hi + 10.0 * width, 100_001)
+        x = np.concatenate(random + [grid])
+        scores = np.stack([0.5 * (p - n - 1) * x - log_normalizer((n, p))
+                           for p in (d, d - 1, d - 2)])
+        reference = np.array([2, 1, 0])[np.argmax(scores, axis=0)]
+        rule = bayes_three_way_detector(n, d).rule
+        assert np.array_equal(rule(x), reference)
+        # Ties go to the higher degrees of freedom.
+        below = np.nextafter(lo, -math.inf)
+        assert rule(np.array([below, lo, hi])).tolist() == [0, 1, 2]
+
+
 class TestFixedThetaGame:
     def test_in_plane_direction_runs(self):
         theta = np.zeros(6)
@@ -311,7 +353,7 @@ class TestFixedThetaGame:
 
 
 class TestStatisticRoute:
-    """Games score Gram-statistic detectors on Bartlett draws of (logdet, trace)."""
+    """Games score Gram-statistic detectors on direct draws of the statistic they read."""
 
     DRAWS = 200_000
     CHUNK = 20_000  # keeps the sample route's (chunk, n, d) normals small
@@ -333,11 +375,12 @@ class TestStatisticRoute:
     def test_agrees_with_sample_route(self, kind):
         n, ensemble = self._ensemble(kind)
         seed = 9100 + 10 * n + ensemble.dim
-        bartlett = logdet_trace_samples((n, ensemble.gram_dof()), self.DRAWS, RngStream(seed))
+        params, rng = (n, ensemble.gram_dof()), RngStream(seed)
+        direct = [draw(params, self.DRAWS, rng) for draw in (logdet_samples, trace_samples)]
         rng = RngStream(seed + 500)
         parts = [logdet_trace_many(gram_many(ensemble.sample_many(n, self.CHUNK, rng)))
                  for _ in range(self.DRAWS // self.CHUNK)]
-        for name, a, *chunks in zip(("logdet", "trace"), bartlett, *parts):
+        for name, a, *chunks in zip(("logdet", "trace"), direct, *parts):
             assert max(helpers.moment_gaps(a, np.concatenate(chunks))) < 5, (name, kind)
 
     def test_gram_dof(self):
@@ -347,8 +390,12 @@ class TestStatisticRoute:
         assert Ensemble.explicit(np.eye(5)).gram_dof() is None
 
     def test_gram_detectors_carry_their_rule(self):
+        statistics = {"bayes3": "logdet", "constant": None, "det": "logdet", "lr": "logdet",
+                      "random": "trace", "trace": "trace"}
         for name in registry_names():
-            assert (make_detector(name, 3, 30).rule is None) == (name == "constant"), name
+            detector = make_detector(name, 3, 30)
+            assert (detector.rule is None) == (name == "constant"), name
+            assert detector.statistic == statistics[name], name
         assert symmetrize_detector(lr_detector(3, 30), 2, RngStream(0)).rule is None
 
     def test_constant_detector_keeps_the_sample_route(self):

@@ -170,6 +170,18 @@ class TestSubspaceIntersectionDim:
             subspace_intersection_dim(np.array([[1.0, 1.0, 0.0]]), np.eye(3)[:1])
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros((0, 0)),
+                                   np.array([[1.0, 0.5], [0.0, 1.0]])])
+    def test_check_symmetric_raises_typed_error(self, a):
+        with pytest.raises(InvalidParamsError):
+            check_symmetric(a)
+
+    def test_mismatched_ambient_dimensions(self):
+        with pytest.raises(InvalidParamsError):
+            subspace_intersection_dim(np.eye(3)[:1], np.eye(4)[:1])
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejected_by_every_primitive(self, value):

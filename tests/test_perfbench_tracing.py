@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import precisionlab.tvbounds as tvbounds
-from precisionlab import RngStream, tv_report
+from precisionlab import RngStream, lr_detector, run_three_way_game, run_two_way_game, tv_report
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +35,15 @@ def test_traced_tv_report_matches_untraced(tracer):
     traced = tv_report(3, 30, 10_000, RngStream(5))
     tracer.uninstall()
     assert traced == tv_report(3, 30, 10_000, RngStream(5))
+
+
+def test_traced_games_match_untraced(tracer):
+    # The statistic route of the lr and bayes3 games draws through the
+    # tracer's wrapped generators; the reports must not move.
+    def games():
+        return (run_two_way_game(3, 30, lr_detector(3, 30), 10_000, RngStream(6)),
+                run_three_way_game(2, 60, 10_000, RngStream(7)))
+
+    traced = games()
+    tracer.uninstall()
+    assert traced == games()

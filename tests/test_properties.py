@@ -17,6 +17,7 @@ from precisionlab import (
     conditional_covariance_schur,
     dump_symmetric_matrix,
     load_symmetric_matrix,
+    log_density,
     section_covariance,
 )
 from precisionlab.cli import main
@@ -75,6 +76,52 @@ def test_degenerate_matrix_raises_typed_error_for_every_pair(tmp_path_factory, a
         argv = ["alpha", "--matrix-file", str(path), "--i", str(i + 1), "--j", str(j + 1),
                 "--trials", "1000"]
         assert main(argv) == 2
+
+
+@st.composite
+def invalid_matrices(draw):
+    """(matrix, defect) in dimension 2..5, the defect one of four kinds.
+
+    From an SPD matrix in a uniformly random frame: "indefinite" makes one
+    eigenvalue negative, "singular" one zero, "non-finite" puts a NaN or an
+    infinity in a symmetric pair of entries, and "asymmetric" perturbs one
+    off-diagonal entry by far more than any symmetry tolerance.
+    """
+    d = draw(st.integers(2, 5))
+    defect = draw(st.sampled_from(["indefinite", "singular", "non-finite", "asymmetric"]))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                        .standard_normal((d, d)))
+    w = np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 3.0)), d)
+    if defect == "indefinite":
+        w[0] = draw(st.floats(-1e3, -1e-3))
+    elif defect == "singular":
+        w[0] = 0.0
+    a = (q * w) @ q.T
+    a = 0.5 * (a + a.T)
+    i, j = draw(st.permutations(range(d)))[:2]
+    if defect == "non-finite":
+        a[i, j] = a[j, i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif defect == "asymmetric":
+        a[i, j] += draw(st.floats(1e-6, 1e3)) * np.max(np.abs(a))
+    return a, defect
+
+
+@given(invalid_matrices())
+def test_invalid_matrix_raises_typed_error(tmp_path_factory, case):
+    # A singular matrix still has a section (of lower rank) but no Wishart
+    # density; every other defect is refused by both, and by the command.
+    a, defect = case
+    d = a.shape[0]
+    with pytest.raises(PrecisionLabError):
+        log_density((d, d + 2), a)
+    path = tmp_path_factory.mktemp("invalid") / "m.txt"
+    path.write_text(dump_symmetric_matrix(a))
+    if defect == "singular":
+        assert section_covariance(a).rank < 2
+        return
+    with pytest.raises(PrecisionLabError):
+        section_covariance(a)
+    assert main(["section", "--matrix-file", str(path)]) == 2
 
 
 @st.composite

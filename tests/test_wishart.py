@@ -17,7 +17,7 @@ from precisionlab import (
     log_normalizer,
     wishart_samples,
 )
-from precisionlab.wishart import logdet_samples, logdet_trace_many, logdet_trace_samples
+from precisionlab.wishart import logdet_samples, logdet_trace_many, trace_samples
 
 
 class TestGram:
@@ -219,7 +219,10 @@ class TestBartlettRoute:
                  for _ in range(self.DRAWS // self.CHUNK)]
         return np.concatenate(parts)
 
-    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 29), (3, 30), (9, 30)])
+    # (2, 2) pairs chi2_2 with chi2_1 (one Gamma(1) draw); (29, 29) ends on an
+    # unpaired chi2_1.
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (3, 29), (3, 30), (4, 30), (9, 30),
+                                     (29, 29)])
     def test_agrees_with_gram_route(self, n, p):
         bartlett = logdet_samples((n, p), self.DRAWS, RngStream(8000 + 100 * n + p))
         gram = self._gram_logdets(n, p, RngStream(8500 + 100 * n + p))
@@ -229,6 +232,26 @@ class TestBartlettRoute:
             assert abs(a - b) < 5 * math.hypot(se_a, se_b), (stat.__name__, n, p)
         m, se = helpers.mean_se(np.exp(bartlett))
         assert abs(m - det_moments_exact((n, p))[0]) < 5 * se, (n, p)
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 59), (3, 29), (3, 30), (4, 30),
+                                     (9, 30), (29, 29)])
+    def test_exact_log_moments(self, n, p):
+        # E log det W(n, p) = sum_i psi((p-i)/2) + n log 2 and its variance is
+        # sum_i psi'((p-i)/2); a gamma shape off by one moves the mean by
+        # about 80 standard errors at this size.
+        special = pytest.importorskip("scipy.special")
+        halves = 0.5 * (p - np.arange(n))
+        exact = (float(np.sum(special.digamma(halves))) + n * math.log(2.0),
+                 float(np.sum(special.polygamma(1, halves))))
+        draws = logdet_samples((n, p), self.DRAWS, RngStream(7000 + 100 * n + p))
+        for stat, value in zip((helpers.mean_se, helpers.var_se), exact):
+            estimate, se = stat(draws)
+            assert abs(estimate - value) < 5 * se, (stat.__name__, n, p)
+
+    @pytest.mark.parametrize("p", [2, 30, 59])
+    def test_one_row_is_log_chisquare_bitwise(self, p):
+        expected = np.log(RngStream(12).gen.chisquare(p, 1000))
+        assert np.array_equal(logdet_samples((1, p), 1000, RngStream(12)), expected)
 
     def test_determinism_and_validation(self):
         a = logdet_samples((3, 30), 1000, RngStream(11))
@@ -240,7 +263,8 @@ class TestBartlettRoute:
 
 
 class TestStatisticRoute:
-    """``logdet_trace_samples`` against the Gram statistics of sampled batches, its game oracle."""
+    """``logdet_samples`` and ``trace_samples``, each against the Gram statistics of sampled
+    batches: the game oracle."""
 
     DRAWS = 200_000
     CHUNK = 20_000  # keeps the sample route's (chunk, n, p) normals small
@@ -254,27 +278,22 @@ class TestStatisticRoute:
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 59), (3, 29), (3, 30)])
     def test_agrees_with_gram_route(self, n, p):
         seed = 9000 + 100 * n + p
-        bartlett = logdet_trace_samples((n, p), self.DRAWS, RngStream(seed))
+        rng = RngStream(seed)
+        direct = [draw((n, p), self.DRAWS, rng) for draw in (logdet_samples, trace_samples)]
         gram = self._gram_stats(n, p, RngStream(seed + 500))
-        for name, a, b in zip(("logdet", "trace"), bartlett, gram):
+        for name, a, b in zip(("logdet", "trace"), direct, gram):
             assert a.shape == (self.DRAWS,)
             assert max(helpers.moment_gaps(a, b)) < 5, (name, n, p)
         # The trace is the sum of n*p squared standard normals: chi2_{np}.
-        trace = bartlett[1]
+        trace = direct[1]
         for (value, se), exact in ((helpers.mean_se(trace), n * p),
                                    (helpers.var_se(trace), 2 * n * p)):
             assert abs(value - exact) < 5 * se, (n, p)
 
-    @pytest.mark.parametrize("n,p", [(1, 2), (2, 59), (3, 30)])
-    def test_logdet_equals_logdet_samples_bitwise(self, n, p):
-        logdet, _ = logdet_trace_samples((n, p), 1000, RngStream(12))
-        assert np.array_equal(logdet, logdet_samples((n, p), 1000, RngStream(12)))
-
     def test_determinism_and_validation(self):
-        a = logdet_trace_samples((3, 30), 1000, RngStream(13))
-        b = logdet_trace_samples((3, 30), 1000, RngStream(13))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = trace_samples((3, 30), 1000, RngStream(13))
+        assert np.array_equal(a, trace_samples((3, 30), 1000, RngStream(13)))
         with pytest.raises(InvalidParamsError):
-            logdet_trace_samples((3, 2), 10, RngStream(0))
+            trace_samples((3, 2), 10, RngStream(0))
         with pytest.raises(InvalidParamsError):
-            logdet_trace_samples((1, 2), 0, RngStream(0))
+            trace_samples((1, 2), 0, RngStream(0))
