@@ -32,7 +32,7 @@ from .errors import InvalidParamsError, InvariantViolationError, PrecisionLabErr
 from .matrixio import load_symmetric_matrix
 from .parallel import concat_batches, run_batched
 from .sampler import RngStream, uniform_sphere_many
-from .tvbounds import tv_closed_form_bound, tv_report, validate_chain
+from .tvbounds import MIN_MC_TRIALS, tv_closed_form_bound, tv_report, validate_chain
 from .wishart import WishartParams, det_moments, wishart_samples
 
 EXIT_OK = 0
@@ -298,6 +298,8 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.trials < MIN_MC_TRIALS:
+        raise InvalidParamsError(f"need at least {MIN_MC_TRIALS} trials, got {args.trials}")
     params = WishartParams(args.n, args.d)
     exact = det_moments(params)
 

@@ -43,10 +43,9 @@ from .sampler import (
     random_subspace_basis,
     standard_batches,
 )
-from .tvbounds import tv_closed_form_bound
+from .tvbounds import MIN_MC_TRIALS, tv_closed_form_bound
 from .wishart import gram_many, log_normalizer, logdet_samples, logdet_trace_many, trace_samples
 
-MIN_GAME_TRIALS = 10_000
 # Norm of the in-plane component below which a direction counts as
 # orthogonal to the reference plane.
 PLANE_COMPONENT_TOL = 1e-8
@@ -419,8 +418,8 @@ def _play(
     ceiling: float,
 ) -> GameReport:
     """Play ``detector`` against ``ensembles[i]`` on child stream ``i``; equal priors."""
-    if trials < MIN_GAME_TRIALS:
-        raise InvalidParamsError(f"need at least {MIN_GAME_TRIALS} trials, got {trials}")
+    if trials < MIN_MC_TRIALS:
+        raise InvalidParamsError(f"need at least {MIN_MC_TRIALS} trials, got {trials}")
     results = [
         _success(e, detector, n, trials, rng.child(idx), workers)
         for idx, e in enumerate(ensembles)

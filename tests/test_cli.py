@@ -146,6 +146,15 @@ class TestMomentsCommand:
         assert abs(doc["mean_mc"] - exact.mean) < 5 * doc["mean_se"]
         assert abs(doc["variance_mc"] - exact.variance) < 5 * doc["variance_se"]
 
+    @pytest.mark.parametrize("trials", ["1", "9999"])
+    def test_trial_floor_exit_code(self, trials, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["moments", "--n", "3", "--d", "3", "--trials", trials,
+                     "--format", "json", "--out", str(out)])
+        assert code == 2
+        assert "at least 10000 trials" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGameCommand:
     def test_two_way_respects_ceiling(self, tmp_path):
@@ -215,6 +224,28 @@ class TestGameCommand:
         assert main(base + ["--workers", "1", "--format", "json", "--out", str(out1)]) == 0
         assert main(base + ["--workers", "4", "--format", "json", "--out", str(out4)]) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
+@pytest.mark.parametrize("case", [
+    ["tv", "--n", "2", "--d", "7"],
+    ["game", "--mode", "two-way", "--n", "3", "--d", "30"],
+    ["game", "--mode", "three-way", "--n", "2", "--d", "12"],
+    ["game", "--mode", "fixed-theta", "--n", "2", "--d", "8"],
+    ["alpha", "--epsilon", "0.3"],
+    ["moments", "--n", "3", "--d", "3"],
+], ids=lambda case: "-".join(case[:3]))
+def test_monte_carlo_json_is_strict_at_trial_floor(case, tri_file, tmp_path):
+    if case[0] == "alpha":
+        case = case + ["--matrix-file", tri_file]
+    out = tmp_path / "out.json"
+    args = case + ["--trials", "10000", "--seed", "4", "--format", "json", "--out", str(out)]
+    assert main(args) == 0
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert doc["trials"] == 10000
 
 
 class TestSectionCommand:

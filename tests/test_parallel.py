@@ -1,0 +1,180 @@
+"""Scheduling of the batch grid: order, reuse of helper threads, errors, nesting."""
+
+import subprocess
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from precisionlab import InvalidParamsError, RngStream
+from precisionlab import parallel
+from precisionlab.parallel import DEFAULT_BATCHES, batch_counts, run_batched
+
+TIMEOUT_S = 60.0
+
+
+def normals(count, stream):
+    return stream.gen.standard_normal(count)
+
+
+def run_with_timeout(call):
+    """Run ``call`` on a daemon thread; fail instead of hanging if it deadlocks."""
+    box = {}
+    worker = threading.Thread(target=lambda: box.setdefault("out", call()), daemon=True)
+    worker.start()
+    worker.join(TIMEOUT_S)
+    assert not worker.is_alive(), f"did not finish within {TIMEOUT_S} s"
+    return box["out"]
+
+
+def test_empty_grid():
+    assert batch_counts(0) == []
+    assert run_batched(normals, 0, RngStream(1), workers=4) == []
+
+
+def test_results_come_back_in_batch_order():
+    rng = RngStream(5)
+    ids = run_batched(lambda count, stream: stream.stream_id, 10_000, rng, workers=4)
+    assert ids == [rng.child(i).stream_id for i in range(DEFAULT_BATCHES)]
+
+
+@pytest.mark.parametrize("workers", [2, 4, 40])
+def test_equal_arrays_for_any_worker_count(workers):
+    ref = run_batched(normals, 100_003, RngStream(11), workers=1)
+    got = run_batched(normals, 100_003, RngStream(11), workers=workers)
+    assert len(got) == len(ref) == DEFAULT_BATCHES
+    for a, b in zip(ref, got):
+        assert np.array_equal(a, b)
+
+
+def test_helper_executor_is_reused_and_threads_do_not_grow():
+    run_batched(normals, 10_000, RngStream(0), workers=2)
+    pool = parallel._HELPERS[1]
+    threads = threading.active_count()
+    for seed in range(200):
+        run_batched(normals, 10_000, RngStream(seed), workers=2)
+    assert parallel._HELPERS[1] is pool
+    assert threading.active_count() <= threads
+
+
+HELPER_COUNT_SCRIPT = """
+import threading, time
+from precisionlab import RngStream
+from precisionlab.parallel import run_batched
+
+def batch(count, stream):
+    time.sleep(0.002)
+    return count
+
+for workers, total in [(2, 10_000), (40, 10_000), (40, 3)]:
+    before = threading.active_count()
+    run_batched(batch, total, RngStream(0), workers=workers)
+    print(threading.active_count() - before)
+"""
+
+
+def test_never_more_helper_threads_than_batches_minus_one():
+    # A fresh interpreter, so no helper thread exists before the first call;
+    # workers 40 is above the 32-batch grid and above the 3-batch grid.
+    result = subprocess.run([sys.executable, "-c", HELPER_COUNT_SCRIPT],
+                            capture_output=True, text=True, check=True)
+    started = [int(line) for line in result.stdout.split()]
+    assert len(started) == 3
+    assert all(0 <= s <= limit for s, limit in zip(started, [1, 31, 2]))
+
+
+def test_helpers_run_on_named_threads():
+    seen = set()
+
+    def batch(count, stream):
+        seen.add(threading.current_thread())
+        time.sleep(0.002)
+        return count
+
+    run_batched(batch, 10_000, RngStream(3), workers=4)
+    helpers = seen - {threading.current_thread()}
+    assert len(helpers) <= 3
+    assert all(t.name.startswith("precisionlab-helper") for t in helpers)
+
+
+def test_calling_thread_takes_a_share():
+    # Each of the two batches waits for the other, so both run at once:
+    # one on the calling thread and one on the helper.
+    barrier, seen = threading.Barrier(2, timeout=TIMEOUT_S), []
+
+    def batch(count, stream):
+        barrier.wait()
+        seen.append(threading.current_thread())
+        return count
+
+    assert run_batched(batch, 2, RngStream(0), workers=2) == [1, 1]
+    assert threading.current_thread() in seen and len(set(seen)) == 2
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_batch_error_reaches_caller_and_next_call_succeeds(where):
+    barrier, caller = threading.Barrier(2, timeout=TIMEOUT_S), threading.current_thread()
+
+    def batch(count, stream):
+        barrier.wait()
+        if (threading.current_thread() is caller) == (where == "caller"):
+            raise InvalidParamsError(f"failed on the {where}")
+        return count
+
+    with pytest.raises(InvalidParamsError, match=where):
+        run_batched(batch, 2, RngStream(0), workers=2)
+    ref = run_batched(normals, 10_000, RngStream(8), workers=1)
+    got = run_batched(normals, 10_000, RngStream(8), workers=2)
+    assert all(np.array_equal(a, b) for a, b in zip(ref, got))
+
+
+def test_error_on_the_caller_stops_the_helpers():
+    caller, helper_busy, started = threading.current_thread(), threading.Event(), []
+
+    def batch(count, stream):
+        started.append(count)
+        if threading.current_thread() is caller:
+            # Fail only once the helper is running, so it cannot be cancelled.
+            assert helper_busy.wait(TIMEOUT_S)
+            raise InvalidParamsError("the calling thread's batch fails")
+        helper_busy.set()
+        time.sleep(0.005)
+        return count
+
+    with pytest.raises(InvalidParamsError):
+        run_batched(batch, 10_000, RngStream(0), workers=2)
+    # The helper finishes the batch it is on and takes no more of the 32.
+    assert len(started) <= 8
+
+
+def test_every_batch_runs_once_under_frequent_thread_switches():
+    lock, calls = threading.Lock(), []
+
+    def batch(count, stream):
+        with lock:
+            calls.append(stream.stream_id)
+        return stream.stream_id
+
+    rng, interval = RngStream(13), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            ids = run_with_timeout(
+                lambda: run_batched(batch, 10_000, rng, workers=8, n_batches=256))
+            assert ids == [rng.child(i).stream_id for i in range(256)]
+            assert sorted(calls) == sorted(ids)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("outer, inner", [(2, 2), (4, 2), (2, 40)])
+def test_nested_call_completes(outer, inner):
+    def batch(count, stream):
+        parts = run_batched(normals, 1_000 + count, stream, workers=inner)
+        return float(sum(p.sum() for p in parts))
+
+    ref = run_batched(batch, 64, RngStream(21), workers=1)
+    assert run_with_timeout(lambda: run_batched(batch, 64, RngStream(21), workers=outer)) == ref
