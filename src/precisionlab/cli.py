@@ -30,7 +30,7 @@ from .detection import (
 )
 from .errors import InvalidParamsError, InvariantViolationError, PrecisionLabError
 from .matrixio import load_symmetric_matrix
-from .parallel import concat_batches, run_batched
+from .parallel import FOLD_ROWS, merge, merge_all, moments, run_batched
 from .sampler import RngStream, uniform_sphere_many
 from .tvbounds import MIN_MC_TRIALS, tv_closed_form_bound, tv_report, validate_chain
 from .wishart import WishartParams, det_moments, wishart_samples
@@ -171,7 +171,9 @@ def _human_value(value) -> str:
 
 
 def emit(args, doc: dict, rows: list[dict] | None = None) -> int:
-    """Serialize one report; ``rows`` only for table-shaped output."""
+    """Serialize one report; ``rows`` only for table-shaped output.  Never prints inf or NaN."""
+    if not all(math.isfinite(v) for v in doc.values() if isinstance(v, float)):
+        raise InvalidParamsError("a reported value lies outside the float range")
     if args.format == "json":
         payload = dict(doc)
         if rows is not None:
@@ -302,18 +304,23 @@ def cmd_moments(args) -> int:
         raise InvalidParamsError(f"need at least {MIN_MC_TRIALS} trials, got {args.trials}")
     params = WishartParams(args.n, args.d)
     exact = det_moments(params)
+    if not math.isfinite(exact.variance):
+        raise InvalidParamsError(f"det W({args.n}, {args.d}) has moments beyond the float range")
+    rows = max(1, FOLD_ROWS // (args.n * args.d))  # at most FOLD_ROWS normals per chunk
 
-    def batch(count: int, stream: RngStream) -> np.ndarray:
-        return np.linalg.det(wishart_samples(params, count, stream))
+    def batch(count: int, stream: RngStream, normals: np.ndarray) -> np.ndarray:
+        # Folding det / E det keeps the fourth moment in range wherever the reported ones are.
+        acc = np.zeros((5, 1))
+        for start in range(0, count, rows):
+            grams = wishart_samples(params, min(rows, count - start), stream, normals[: count - start])
+            acc = merge(acc, moments(np.linalg.det(grams)[None] / exact.mean, order=4))
+        return acc
 
-    dets = concat_batches(run_batched(batch, args.trials, RngStream(args.seed),
-                                      workers=args.workers))
-    t = len(dets)
-    mc_mean = float(np.mean(dets))
-    mean_se = float(np.std(dets, ddof=1)) / math.sqrt(t)
-    mc_var = float(np.var(dets, ddof=1))
-    fourth = float(np.mean((dets - mc_mean) ** 4))
-    var_se = math.sqrt(max(fourth - mc_var**2, 0.0) / t)
+    acc = merge_all(run_batched(batch, args.trials, RngStream(args.seed), args.workers,
+                                scratch=lambda: np.empty((rows, args.n, args.d))))
+    t, mean, m2, _, m4 = map(float, acc[:, 0])
+    var = m2 / (t - 1.0)
+    var_se = math.sqrt(max(m4 / t - var * var, 0.0) / t)
     doc = {
         "command": "moments",
         "n": args.n,
@@ -322,10 +329,10 @@ def cmd_moments(args) -> int:
         "seed": args.seed,
         "mean_formula": exact.mean,
         "variance_formula": exact.variance,
-        "mean_mc": mc_mean,
-        "mean_se": mean_se,
-        "variance_mc": mc_var,
-        "variance_se": var_se,
+        "mean_mc": mean * exact.mean,
+        "mean_se": math.sqrt(var / t) * exact.mean,
+        "variance_mc": var * exact.mean * exact.mean,
+        "variance_se": var_se * exact.mean * exact.mean,
     }
     return emit(args, doc)
 

@@ -17,8 +17,9 @@ running both code paths rather than hard-coding it.
 Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
 The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last) and
-screens on the first d - 2 normals; products are elementwise, since BLAS
-inside a batch worker would start threads that fight the workers.
+screens on the first d - 2 normals; products go through ``einsum``, not
+BLAS, since BLAS inside a batch worker would start threads that fight the
+workers.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .matcore import (
     psd_eigh,
     subspace_intersection_dim,
 )
-from .parallel import concat_batches, run_batched
+from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 
 # Rejection acceptance scales like epsilon^(d-2): beyond dimension 6 the
@@ -179,32 +180,35 @@ def alpha_monte_carlo(
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = cholesky_logdet(m[np.ix_(order, order)]).factor
 
-    def rows(z: np.ndarray, f: np.ndarray) -> np.ndarray:
-        # z @ f.T as elementwise products summed over the columns of z.
-        return sum(z[:, r, None] * f[:, r] for r in range(z.shape[1]))
-
-    def batch(count: int, stream: RngStream) -> np.ndarray:
+    def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         screen, pair = stream.child(0).gen, stream.child(1).gen
-        parts = []
-        for start in range(0, count, _CHUNK_ROWS):
-            z = screen.standard_normal((min(_CHUNK_ROWS, count - start), d - 2))
-            if d > 2:
-                z = z[np.all(np.abs(rows(z, c[: d - 2, : d - 2])) < epsilon, axis=1)]
-            z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
-            parts.append(rows(z, c[d - 2 :]))
-        return concat_batches(parts)
+        acc = np.zeros((3, 3))
+        for block in range(0, count, FOLD_ROWS):  # a fixed reduction grid, whatever the chunk
+            end, products = min(block + FOLD_ROWS, count), []
+            for start in range(block, end, _CHUNK_ROWS):
+                z = screen.standard_normal(out=work[0, : min(_CHUNK_ROWS, end - start)])
+                if d > 2:  # einsum, not matmul: no BLAS call (and no BLAS threads) in a worker
+                    y = np.einsum("rk,ck->rc", z, c[: d - 2, : d - 2], out=work[1, : len(z)])
+                    z = np.compress(np.all(np.abs(y, out=y) < epsilon, axis=1), z, axis=0)
+                z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
+                x, y = np.einsum("rk,ck->cr", z, c[d - 2 :])
+                products.append([x * x, x * y, y * y])
+            products = np.concatenate(products, axis=1)
+            if products.shape[1]:
+                acc = merge(acc, moments(products))
+        return acc
 
-    accepted = concat_batches(run_batched(batch, trials, rng, workers=workers))
-    count = len(accepted)
+    acc = merge_all(run_batched(batch, trials, rng, workers,
+                                scratch=lambda: np.empty((2, _CHUNK_ROWS, d - 2))))
+    count = int(acc[0, 0])
     if count < min_accepted:
         raise TooFewAcceptancesError(
             f"only {count} acceptances out of {trials} proposals "
             f"(need {min_accepted}); widen epsilon or raise trials"
         )
-    x, y = accepted.T
-    prods = [x * x, x * y, y * y]
-    values = np.array([p.mean() for p in prods])[[[0, 1], [1, 2]]]
-    errors = np.array([p.std(ddof=1) for p in prods])[[[0, 1], [1, 2]]] / math.sqrt(count)
+    mean, sd = mean_sd(acc)
+    values = mean[[[0, 1], [1, 2]]]
+    errors = sd[[[0, 1], [1, 2]]] / math.sqrt(count)
     return AlphaEstimate(
         pair=(i, j),
         epsilon=float(epsilon),

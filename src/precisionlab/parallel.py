@@ -1,16 +1,23 @@
-"""Deterministic batch splitting for Monte Carlo loops.
+"""Deterministic batch splitting and the one streaming reducer of every Monte Carlo loop.
 
 Work is divided over a fixed batch grid with one child stream per batch
 index and combined in batch order, so results are bit-reproducible for any
 number of threads.  The calling thread and ``workers - 1`` persistent helper
 threads pull batch indices from one iterator.  Batch functions must be pure
 given their stream, and may call ``run_batched`` themselves.
+
+A Monte Carlo batch returns a moment accumulator (rows count, mean, M2, and
+M3, M4 at order 4; one column per statistic), not its values: it draws
+blocks of at most ``FOLD_ROWS`` values into scratch made once per thread per
+call and merges their moments pairwise (Chan, Golub & LeVeque 1979; Pébay
+2008, SAND2008-6212).  So memory is bounded whatever the number of trials.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from .sampler import RngStream
 T = TypeVar("T")
 
 DEFAULT_BATCHES = 32
+FOLD_ROWS = 1 << 16  # most values a batch draws and reduces at a time
 _HELPERS: dict[int, ThreadPoolExecutor] = {}  # by helper count; concurrent.futures joins at exit
 
 
@@ -32,24 +40,28 @@ def batch_counts(total: int, n_batches: int = DEFAULT_BATCHES) -> list[int]:
 
 
 def run_batched(
-    fn: Callable[[int, RngStream], T],
+    fn: Callable[..., T],
     total: int,
     rng: RngStream,
     workers: int = 1,
     n_batches: int = DEFAULT_BATCHES,
+    scratch: Callable[[], object] | None = None,
 ) -> list[T]:
     """Run ``fn(count, stream)`` over the fixed batch grid, in batch order.
 
     ``fn`` must be pure given its stream.  Results come back ordered by batch
     index regardless of ``workers``.  An exception in any batch reaches the caller.
+    With ``scratch``, each thread makes ``scratch()`` once per call and calls
+    ``fn(count, stream, that_value)``.
     """
     counts = batch_counts(total, n_batches)
     streams = [rng.child(i) for i in range(len(counts))]
     out, todo = [None] * len(counts), iter(range(len(counts)))
 
     def drain() -> None:
+        extra = (scratch(),) if scratch else ()
         for i in todo:
-            out[i] = fn(counts[i], streams[i])
+            out[i] = fn(counts[i], streams[i], *extra)
 
     helpers = min(workers or 1, len(counts)) - 1
     if helpers > 0 and helpers not in _HELPERS:  # setdefault: racing callers share one
@@ -65,5 +77,44 @@ def run_batched(
     return out
 
 
-def concat_batches(parts: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(list(parts), axis=0)
+def moments(values: np.ndarray, order: int = 2, work: np.ndarray | None = None) -> np.ndarray:
+    """Accumulator of ``values`` (cols, count), with optional (order // 2, cols, >= count) ``work``.
+
+    Two passes, about the first value and then about the mean: constant
+    input has exactly zero central moments."""
+    cols, count = values.shape
+    work = np.empty((order // 2, cols, count)) if work is None else work
+    dev = np.subtract(values, values[:, :1], out=work[0, :, :count])
+    shift = dev.sum(axis=1) / count
+    dev -= shift[:, None]
+    sq = np.square(dev, out=work[-1, :, :count])
+    sums = [sq.sum(axis=1)]
+    if order == 4:
+        sums += [np.multiply(dev, sq, out=dev).sum(axis=1), np.square(sq, out=sq).sum(axis=1)]
+    return np.array([np.full(cols, float(count)), values[:, 0] + shift, *sums])
+
+
+def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The accumulator of the samples of ``a`` followed by those of ``b``."""
+    na, nb = a[0, 0], b[0, 0]
+    if na == 0 or nb == 0:
+        return b if na == 0 else a
+    n, delta = na + nb, b[1] - a[1]
+    out = [a[0] + b[0], a[1] + delta * (nb / n), a[2] + b[2] + delta * delta * (na * nb / n)]
+    if len(a) > 3:
+        out.append(a[3] + b[3] + delta**3 * (na * nb * (na - nb) / n**2)
+                   + 3.0 * delta * (na * b[2] - nb * a[2]) / n)
+        out.append(a[4] + b[4] + delta**4 * (na * nb * (na * na - na * nb + nb * nb) / n**3)
+                   + 6.0 * delta * delta * (na * na * b[2] + nb * nb * a[2]) / n**2
+                   + 4.0 * delta * (na * b[3] - nb * a[3]) / n)
+    return np.array(out)
+
+
+def merge_all(parts: list[np.ndarray]) -> np.ndarray:
+    """Merge accumulators left to right, in batch order."""
+    return functools.reduce(merge, parts)
+
+
+def mean_sd(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and sample standard deviation (ddof 1) of an accumulator."""
+    return acc[1], np.sqrt(acc[2] / (acc[0] - 1.0))

@@ -19,6 +19,10 @@ Bartlett decomposition (``wishart.logdet_samples``): log det W(n, p) is a
 sum of n independent log chi-squares with p, p-1, ..., p-n+1 degrees of
 freedom, and each consecutive pair is drawn as one log gamma.  Each trial
 costs ceil(n/2) draws instead of n*p normals, a Gram product and a slogdet.
+Draws come in chunks of at most ``parallel.FOLD_ROWS`` into per-thread
+scratch, and each batch returns only the moments of the ratio x and of
+|1 - x|, so memory does not grow with the trials; the middle link's
+batch-means error reads each batch's own moments.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .parallel import concat_batches, run_batched
+from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 from .wishart import WishartParams, det_moments_exact, log_normalizer, logdet_samples
 
@@ -74,21 +78,16 @@ class McEstimate(NamedTuple):
     standard_error: float
 
 
-def _ratio_values(n: int, d: int, count: int, stream: RngStream, reverse: bool) -> np.ndarray:
-    """Density-ratio values whose mean-absolute deviation from 1 is twice the TV.
+def _ratio_moments(
+    n: int, d: int, trials: int, rng: RngStream, workers: int, reverse: bool
+) -> list[np.ndarray]:
+    """Per-batch accumulators of (x, |1 - x|) over density-ratio values x.
 
-    Forward: det(G)^(1/2) * Z(n,d-1)/Z(n,d) under G ~ W(n, d-1).
-    Reverse: det(G)^(-1/2) * Z(n,d)/Z(n,d-1) under G ~ W(n, d); total
+    The mean absolute deviation of x from 1 is twice the TV.
+    Forward: x = det(G)^(1/2) * Z(n,d-1)/Z(n,d) under G ~ W(n, d-1).
+    Reverse: x = det(G)^(-1/2) * Z(n,d)/Z(n,d-1) under G ~ W(n, d); total
     variation is symmetric, so both must agree.
     """
-    p, sign = (d, -1.0) if reverse else (d - 1, 1.0)
-    logdet = logdet_samples(WishartParams(n, p), count, stream)
-    return np.exp(sign * (0.5 * logdet + (log_normalizer((n, d - 1)) - log_normalizer((n, d)))))
-
-
-def _collect_ratio_values(
-    n: int, d: int, trials: int, rng: RngStream, workers: int, reverse: bool
-) -> tuple[np.ndarray, list[int]]:
     n, d = int(n), int(d)
     if not 1 <= n <= d - 1:
         raise InvalidParamsError(f"need 1 <= n <= d-1, got n={n}, d={d}")
@@ -97,21 +96,35 @@ def _collect_ratio_values(
     if reverse and n == d - 1:
         # E[det^-1] diverges under W(d-1, d), so the ratio has infinite variance.
         raise InvalidParamsError(f"reverse estimator needs n < d-1, got n={n}, d={d}")
+    params = WishartParams(n, d if reverse else d - 1)
+    sign = -1.0 if reverse else 1.0
+    log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+    terms = (n + 1) // 2  # rows logdet_samples draws into
 
-    def batch(count: int, stream: RngStream) -> np.ndarray:
-        return _ratio_values(n, d, count, stream, reverse)
+    def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
+        acc = np.zeros((3, 2))
+        for start in range(0, count, FOLD_ROWS):
+            rows = min(FOLD_ROWS, count - start)
+            x = logdet_samples(params, rows, stream, out=work[: terms * rows].reshape(terms, rows))
+            x *= 0.5 * sign
+            x += sign * log_z_ratio
+            values = work[: 2 * rows].reshape(2, rows)  # x, then |1 - x|
+            np.exp(x, out=values[0])
+            np.abs(np.subtract(1.0, values[0], out=values[1]), out=values[1])
+            acc = merge(acc, moments(values, 2, work[-2 * rows :].reshape(1, 2, rows)))
+        return acc
 
-    parts = run_batched(batch, trials, rng, workers=workers)
-    return concat_batches(parts), [len(p) for p in parts]
+    return run_batched(batch, trials, rng, workers,
+                       scratch=lambda: np.empty((max(2, terms) + 2) * FOLD_ROWS))
 
 
 def tv_exact_mc(
     n: int, d: int, trials: int, rng: RngStream, workers: int = 1, reverse: bool = False
 ) -> McEstimate:
     """Monte Carlo estimate of the exact total variation, with standard error."""
-    values, sizes = _collect_ratio_values(n, d, trials, rng, workers, reverse)
-    tv, tv_se, _, _ = _chain_stats(values, sizes)
-    return McEstimate(tv, tv_se)
+    acc = merge_all(_ratio_moments(n, d, trials, rng, workers, reverse))
+    mean, sd = mean_sd(acc)
+    return McEstimate(0.5 * float(mean[1]), 0.5 * float(sd[1]) / math.sqrt(acc[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -129,48 +142,24 @@ class TvReport:
     samples_used: int
 
 
-def _chain_stats(values: np.ndarray, sizes: list[int]) -> tuple[float, float, float, float]:
-    """(tv, tv_se, half CV of values, its batch-means se) from ratio draws."""
-    x = np.asarray(values, dtype=float)
-    t = len(x)
-    absdev = np.abs(1.0 - x)
-    tv = 0.5 * float(np.mean(absdev))
-    tv_se = 0.5 * float(np.std(absdev, ddof=1)) / math.sqrt(t) if t > 1 else 0.0
-
-    mean = float(np.mean(x))
-    sd = float(np.std(x, ddof=1)) if t > 1 else 0.0
-    ratio = 0.5 * sd / mean if mean != 0.0 else 0.0
-
-    bounds = np.cumsum([0] + list(sizes))
-    per_batch = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 2:
-            continue
-        chunk = x[lo:hi]
-        m = float(np.mean(chunk))
-        if m != 0.0:
-            per_batch.append(0.5 * float(np.std(chunk, ddof=1)) / m)
-    if len(per_batch) >= 2:
-        ratio_se = float(np.std(per_batch, ddof=1)) / math.sqrt(len(per_batch))
-    else:
-        ratio_se = 0.0
-    return tv, tv_se, ratio, ratio_se
-
-
 def tv_report(n: int, d: int, trials: int, rng: RngStream, workers: int = 1) -> TvReport:
-    """Full chain for one (n, d): bounds, the middle-link estimate, and the MC value."""
-    values, sizes = _collect_ratio_values(n, d, trials, rng, workers, reverse=False)
-    tv, tv_se, ratio, ratio_se = _chain_stats(values, sizes)
+    """Full chain for one (n, d): bounds, the middle-link estimate (batch-means
+    error), and the MC value."""
+    parts = _ratio_moments(n, d, trials, rng, workers, reverse=False)
+    acc = merge_all(parts)
+    mean, sd = mean_sd(acc)
+    batch_mean, batch_sd = mean_sd(np.stack(parts, axis=-1)[:, 0])
+    _, cv_sd = mean_sd(moments((0.5 * batch_sd / batch_mean)[None]))
     return TvReport(
         n=int(n),
         d=int(d),
         closed_form_bound=tv_closed_form_bound(n, d),
         moment_ratio_bound=tv_moment_ratio_bound(n, d),
-        sqrt_moment_ratio_bound=ratio,
-        sqrt_moment_ratio_se=ratio_se,
-        mc_estimate=tv,
-        mc_standard_error=tv_se,
-        samples_used=len(values),
+        sqrt_moment_ratio_bound=0.5 * float(sd[0] / mean[0]),
+        sqrt_moment_ratio_se=float(cv_sd[0]) / math.sqrt(len(parts)),
+        mc_estimate=0.5 * float(mean[1]),
+        mc_standard_error=0.5 * float(sd[1]) / math.sqrt(acc[0, 0]),
+        samples_used=int(acc[0, 0]),
     )
 
 

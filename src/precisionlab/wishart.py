@@ -108,33 +108,44 @@ def det_moments(params) -> DetMoments:
     return DetMoments(_int_to_float(mean), _int_to_float(variance))
 
 
-def wishart_samples(params, count: int, rng: RngStream) -> np.ndarray:
+def wishart_samples(params, count: int, rng: RngStream, normals=None) -> np.ndarray:
     """``count`` independent W(n, p) draws, shape (count, n, n).
 
     Sampling is by the defining construction, the Gram matrix of n standard
     Gaussian vectors in dimension p, so distributional tests compare like
-    with like.  No triangular-factor shortcut.
+    with like.  No triangular-factor shortcut.  The normals are drawn into
+    ``normals`` when given, a C-contiguous (count, n, p) array.
     """
     n, p = _validated(params, count)
-    x = rng.gen.standard_normal((count, n, p))
+    x = rng.gen.standard_normal((count, n, p), out=normals)
     return x @ x.transpose(0, 2, 1)
 
 
-def logdet_samples(params, count: int, rng: RngStream) -> np.ndarray:
+def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
     """``count`` independent draws of log det W(n, p), shape (count,).
 
     Bartlett decomposition: det W(n, p) is the product of n independent
     chi-squares with p, p-1, ..., p-n+1 degrees of freedom (Anderson, *An
     Introduction to Multivariate Statistical Analysis*, section 7.2).  By
     Legendre's duplication formula chi2_q * chi2_{q-1} ~ Gamma(q-1)^2, so one
-    gamma draw replaces each consecutive pair and odd n ends on chi2_{p-n+1}:
-    ceil(n/2) draws replace the n*p normals, Gram product and slogdet.
+    gamma draw replaces each consecutive pair and odd n ends on chi2_{p-n+1}
+    = 2 Gamma((p-n+1)/2): ceil(n/2) draws replace the n*p normals, Gram
+    product and slogdet.  The draws go into ``out`` when given, a C-contiguous
+    (ceil(n/2), count) array, and the result is its row 0.
     ``tests/test_wishart.py`` pins it to ``wishart_samples``.
     """
     n, p = _validated(params, count)
-    pairs = [2.0 * np.log(rng.gen.standard_gamma(p - i - 1, count)) for i in range(0, n - 1, 2)]
-    odd = [np.log(rng.gen.chisquare(p - n + 1, count))] if n % 2 else []
-    return sum(pairs + odd)
+    pairs = n // 2
+    shapes = [p - i - 1.0 for i in range(0, n - 1, 2)] + [0.5 * (p - n + 1)] * (n % 2)
+    terms = np.empty((len(shapes), count)) if out is None else out
+    for row, shape in zip(terms, shapes):
+        rng.gen.standard_gamma(shape, out=row)
+    terms[pairs:] *= 2.0  # the chi-square
+    np.log(terms, out=terms)
+    terms[:pairs] *= 2.0
+    for row in terms[1:]:
+        terms[0] += row
+    return terms[0]
 
 
 def trace_samples(params, count: int, rng: RngStream) -> np.ndarray:

@@ -33,7 +33,7 @@ from precisionlab import (
     wishart_samples,
 )
 from precisionlab.cli import main
-from precisionlab.parallel import concat_batches, run_batched
+from precisionlab.parallel import run_batched
 from precisionlab.sampler import deficient_batches
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
@@ -73,7 +73,7 @@ def test_c03_determinant_moments(n, p):
     def batch(count, stream):
         return np.linalg.det(wishart_samples((n, p), count, stream))
 
-    dets = concat_batches(run_batched(batch, trials, RngStream(300 + 10 * n + p)))
+    dets = np.concatenate(run_batched(batch, trials, RngStream(300 + 10 * n + p)))
     mean, mean_se = helpers.mean_se(dets)
     var, var_stderr = helpers.var_se(dets)
     mean_dev = abs(mean - moments.mean) / mean_se
@@ -91,7 +91,7 @@ def test_c04_projected_ensemble_law():
         g = gram_many(deficient_batches(d, 1, n, count, stream))
         return np.stack([np.linalg.det(g), np.trace(g, axis1=-2, axis2=-1)], axis=1)
 
-    out = concat_batches(run_batched(batch, trials, RngStream(44)))
+    out = np.concatenate(run_batched(batch, trials, RngStream(44)))
     dets, traces = out[:, 0], out[:, 1]
     moments = det_moments((n, d - 1))
     t_mean, t_se = helpers.mean_se(traces)

@@ -146,6 +146,24 @@ class TestMomentsCommand:
         assert abs(doc["mean_mc"] - exact.mean) < 5 * doc["mean_se"]
         assert abs(doc["variance_mc"] - exact.variance) < 5 * doc["variance_se"]
 
+    def test_fourth_moment_beyond_float_range_is_reported(self, tmp_path):
+        # The raw fourth central moment of det W(52, 63) overflows a double;
+        # the reducer folds det / E det, and the reported numbers fit.
+        out = tmp_path / "m.json"
+        assert main(["moments", "--n", "52", "--d", "63", "--trials", "10000",
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        assert abs(doc["mean_mc"] - doc["mean_formula"]) < 5 * doc["mean_se"]
+        assert doc["variance_se"] > 0.0
+
+    def test_moments_beyond_float_range_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["moments", "--n", "80", "--d", "300", "--trials", "10000",
+                     "--format", "json", "--out", str(out)])
+        assert code == 2
+        assert "float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["1", "9999"])
     def test_trial_floor_exit_code(self, trials, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -246,6 +264,24 @@ def test_monte_carlo_json_is_strict_at_trial_floor(case, tri_file, tmp_path):
     assert main(args) == 0
     doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
     assert doc["trials"] == 10000
+
+
+@pytest.mark.parametrize("case", [
+    ["tv", "--n", "3", "--d", "30", "--trials", "3000000"],
+    ["moments", "--n", "3", "--d", "9", "--trials", "100000"],
+    ["alpha", "--epsilon", "0.3", "--trials", "3000000"],
+], ids=lambda case: case[0])
+def test_streamed_output_is_identical_for_any_worker_count(case, tri_file, tmp_path):
+    # Each size puts more than one chunk into every batch.
+    if case[0] == "alpha":
+        case = case + ["--matrix-file", tri_file]
+    outputs = []
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"w{workers}.json"
+        assert main(case + ["--seed", "3", "--workers", workers, "--format", "json",
+                            "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSectionCommand:

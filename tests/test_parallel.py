@@ -1,15 +1,18 @@
 """Scheduling of the batch grid: order, reuse of helper threads, errors, nesting."""
 
+import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from precisionlab import InvalidParamsError, RngStream
+from precisionlab import InvalidParamsError, RngStream, alpha_monte_carlo, tv_report
 from precisionlab import parallel
+from precisionlab.cli import main
 from precisionlab.parallel import DEFAULT_BATCHES, batch_counts, run_batched
 
 TIMEOUT_S = 60.0
@@ -178,3 +181,34 @@ def test_nested_call_completes(outer, inner):
 
     ref = run_batched(batch, 64, RngStream(21), workers=1)
     assert run_with_timeout(lambda: run_batched(batch, 64, RngStream(21), workers=outer)) == ref
+
+
+def _moments_command(trials):
+    assert main(["moments", "--n", "1", "--d", "2", "--trials", str(trials), "--workers", "1",
+                 "--format", "json", "--out", os.devnull]) == 0
+
+
+TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+# Each smaller size puts more than one chunk into every batch: tv and alpha
+# draw 2**16 rows per chunk, moments 1/2 draws 2**15 matrices.
+STREAMED = {
+    "tv": (lambda trials: tv_report(3, 30, trials, RngStream(1), workers=1), 2_200_000),
+    "alpha": (lambda trials: alpha_monte_carlo(TRIDIAGONAL, 0, 1, 1.0, trials, RngStream(2)),
+              2_200_000),
+    "moments": (_moments_command, 1_100_000),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_peak_memory_does_not_grow_with_trials(name):
+    call, trials = STREAMED[name]
+    call(20_000)  # imports and first-call setup stay out of the measurement
+    peaks = []
+    for size in (trials, 3 * trials):
+        tracemalloc.start()
+        try:
+            call(size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

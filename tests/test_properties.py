@@ -21,6 +21,7 @@ from precisionlab import (
     section_covariance,
 )
 from precisionlab.cli import main
+from precisionlab.parallel import merge_all, moments
 
 
 @st.composite
@@ -192,3 +193,30 @@ def test_section_invariant_under_plane_preserving_rotations(case, seed):
     assert before.rank == after.rank == rank
     expected = r[:2, :2] @ before.matrix @ r[:2, :2].T
     assert np.max(np.abs(after.matrix - expected)) <= 1e-9 * np.max(np.abs(before.matrix))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       st.floats(-10.0, 10.0), st.floats(1e-3, 1e3))
+@example(0, [1] * 12, 0.0, 1.0)
+@example(1, [1, 1], 5.0, 1e-3)
+def test_merged_accumulators_match_two_pass_reference(seed, sizes, shift, scale):
+    # Uneven splits, parts of size 1 included, merged in order, against numpy's two passes.
+    x = scale * (shift + np.random.default_rng(seed).standard_normal((2, sum(sizes) + 1)))
+    sizes = sizes + [1]
+    acc = merge_all([moments(p, order=4) for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
+    count = x.shape[1]
+    mean = x.mean(axis=1)
+    fourth = ((x - mean[:, None]) ** 4).mean(axis=1)
+    assert np.all(acc[0] == count)
+    assert np.all(np.abs(acc[1] - mean) <= 1e-12 * np.max(np.abs(x), axis=1))
+    assert np.all(np.abs(acc[2] / (count - 1) - x.var(axis=1, ddof=1))
+                  <= 1e-12 * x.var(axis=1, ddof=1))
+    assert np.all(np.abs(acc[4] / count - fourth) <= 1e-12 * fourth)
+
+
+@given(st.floats(-1e300, 1e300), st.lists(st.integers(1, 40), min_size=1, max_size=12))
+@example(0.1, [3, 1, 7])
+def test_constant_input_has_exactly_zero_central_moments(value, sizes):
+    acc = merge_all([moments(np.full((2, size), value), order=4) for size in sizes])
+    assert np.all(acc[1] == value)
+    assert np.all(acc[2:] == 0.0)

@@ -14,7 +14,9 @@ from precisionlab import (
     tv_moment_ratio_bound,
     tv_report,
 )
-from precisionlab.tvbounds import _chain_stats, validate_chain
+import precisionlab.tvbounds as tvbounds
+from precisionlab.tvbounds import validate_chain
+from precisionlab.wishart import log_normalizer
 
 
 class TestClosedFormBound:
@@ -153,9 +155,19 @@ class TestChain:
         assert tv <= mid + 3 * (report.mc_standard_error + report.sqrt_moment_ratio_se)
         assert mid <= bound + 3 * report.sqrt_moment_ratio_se
 
-    def test_degenerate_constant_values_collapse_to_zero(self):
-        tv, tv_se, ratio, ratio_se = _chain_stats(np.ones(1000), [500, 500])
-        assert (tv, tv_se, ratio, ratio_se) == (0.0, 0.0, 0.0, 0.0)
+    def test_degenerate_constant_values_collapse_to_zero(self, monkeypatch):
+        # log det = -2 log(Z(n,d-1)/Z(n,d)) makes every density ratio exactly 1.
+        n, d = 2, 7
+        logdet = -2.0 * (log_normalizer((n, d - 1)) - log_normalizer((n, d)))
+
+        def constant_logdet(params, count, rng, out):
+            out[0] = logdet
+            return out[0]
+
+        monkeypatch.setattr(tvbounds, "logdet_samples", constant_logdet)
+        report = tv_report(n, d, 100_000, RngStream(83), workers=2)
+        assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
+                report.sqrt_moment_ratio_se) == (0.0, 0.0, 0.0, 0.0)
 
     def test_report_fields_and_invariants(self):
         report = tv_report(2, 7, 50_000, RngStream(81))
