@@ -42,7 +42,6 @@ from .detection import (
     two_way_ceiling,
 )
 from .errors import (
-    BasisNotOrthonormalError,
     DegenerateDrawError,
     IndexOutOfRangeError,
     InvalidParamsError,
@@ -62,7 +61,6 @@ from .matcore import (
     cholesky_logdet,
     projector_complement,
     psd_eigh,
-    subspace_intersection_dim,
     sym_sqrt,
 )
 from .matrixio import dump_symmetric_matrix, load_symmetric_matrix

@@ -35,14 +35,7 @@ from .errors import (
     SingularBlockError,
     TooFewAcceptancesError,
 )
-from .matcore import (
-    PSD_REL_TOL,
-    RANK_ROUNDING_MARGIN,
-    check_symmetric,
-    cholesky_logdet,
-    psd_eigh,
-    subspace_intersection_dim,
-)
+from .matcore import PSD_REL_TOL, RANK_ROUNDING_MARGIN, check_matrix, cholesky_logdet, psd_eigh
 from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 
@@ -50,9 +43,9 @@ from .sampler import RngStream
 # brute-force slab oracle stops being honest within any sane budget.
 MAX_REJECTION_DIM = 6
 MIN_ACCEPTED = 1000
-# Rejection proposals are drawn and masked this many rows at a time, which
-# bounds a batch's working memory whatever the number of trials.
-_CHUNK_ROWS = 1 << 16
+# A principal angle whose sine is at most ANGLE_TOL counts as zero, i.e. one
+# direction shared by the plane and the range.
+ANGLE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +76,8 @@ class AlphaEstimate:
 class SectionCovariance:
     """Covariance of the uniform distribution on the planar ellipsoid section."""
 
-    matrix: np.ndarray  # 2x2 symmetric PSD
-    rank: int
+    matrix: np.ndarray  # (..., 2, 2) symmetric PSD
+    rank: int | np.ndarray  # an int for one matrix, an integer array for a stack
 
 
 def _check_pair(i: int, j: int, d: int) -> tuple[int, int]:
@@ -101,7 +94,7 @@ def precision_block(a, i: int, j: int) -> np.ndarray:
 
     Solves two linear systems instead of forming the full inverse.
     """
-    m = check_symmetric(a)
+    m = check_matrix(a)
     i, j = _check_pair(i, j, m.shape[0])
     cholesky_logdet(m)  # positive-definiteness gate
     rhs = np.zeros((m.shape[0], 2))
@@ -113,11 +106,14 @@ def precision_block(a, i: int, j: int) -> np.ndarray:
 
 
 def _invert_2x2(block: np.ndarray) -> np.ndarray:
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    scale = float(np.max(np.abs(block)))
-    if not math.isfinite(det) or abs(det) <= 1e-14 * scale * scale:
-        raise SingularBlockError(f"2x2 block is numerically singular (det={det!r})")
-    return np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]]) / det
+    """Inverse of a 2x2 matrix or of each in a (..., 2, 2) stack, by the adjugate."""
+    det = np.asarray(block[..., 0, 0] * block[..., 1, 1] - block[..., 0, 1] * block[..., 1, 0])
+    scale = np.max(np.abs(block), axis=(-2, -1))
+    singular = ~(np.isfinite(det) & (np.abs(det) > 1e-14 * scale * scale))
+    if np.any(singular):
+        raise SingularBlockError(f"2x2 block is numerically singular (det={det[singular][0]!r})")
+    adjugate = block.swapaxes(-1, -2)[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return adjugate / det[..., None, None]
 
 
 def alpha_analytic(a, i: int, j: int) -> AlphaMatrix:
@@ -133,7 +129,7 @@ def conditional_covariance_schur(a, i: int, j: int) -> np.ndarray:
     from the covariance itself; an independent derivation of the same object
     as :func:`alpha_analytic`.
     """
-    m = check_symmetric(a)
+    m = check_matrix(a)
     i, j = _check_pair(i, j, m.shape[0])
     cholesky_logdet(m)
     rest = [k for k in range(m.shape[0]) if k not in (i, j)]
@@ -163,7 +159,7 @@ def alpha_monte_carlo(
     nothing about the answer.  Restricted to small dimension where the
     acceptance rate is workable.
     """
-    m = check_symmetric(a)
+    m = check_matrix(a)
     d = m.shape[0]
     i, j = _check_pair(i, j, d)
     if d > MAX_REJECTION_DIM:
@@ -183,23 +179,19 @@ def alpha_monte_carlo(
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         screen, pair = stream.child(0).gen, stream.child(1).gen
         acc = np.zeros((3, 3))
-        for block in range(0, count, FOLD_ROWS):  # a fixed reduction grid, whatever the chunk
-            end, products = min(block + FOLD_ROWS, count), []
-            for start in range(block, end, _CHUNK_ROWS):
-                z = screen.standard_normal(out=work[0, : min(_CHUNK_ROWS, end - start)])
-                if d > 2:  # einsum, not matmul: no BLAS call (and no BLAS threads) in a worker
-                    y = np.einsum("rk,ck->rc", z, c[: d - 2, : d - 2], out=work[1, : len(z)])
-                    z = np.compress(np.all(np.abs(y, out=y) < epsilon, axis=1), z, axis=0)
-                z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
-                x, y = np.einsum("rk,ck->cr", z, c[d - 2 :])
-                products.append([x * x, x * y, y * y])
-            products = np.concatenate(products, axis=1)
-            if products.shape[1]:
-                acc = merge(acc, moments(products))
+        for start in range(0, count, FOLD_ROWS):
+            z = screen.standard_normal(out=work[0, : min(FOLD_ROWS, count - start)])
+            if d > 2:  # einsum, not matmul: no BLAS call (and no BLAS threads) in a worker
+                y = np.einsum("rk,ck->rc", z, c[: d - 2, : d - 2], out=work[1, : len(z)])
+                z = np.compress(np.all(np.abs(y, out=y) < epsilon, axis=1), z, axis=0)
+            z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
+            x, y = np.einsum("rk,ck->cr", z, c[d - 2 :])
+            if len(x):
+                acc = merge(acc, moments(np.array([x * x, x * y, y * y])))
         return acc
 
     acc = merge_all(run_batched(batch, trials, rng, workers,
-                                scratch=lambda: np.empty((2, _CHUNK_ROWS, d - 2))))
+                                scratch=lambda: np.empty((2, FOLD_ROWS, d - 2))))
     count = int(acc[0, 0])
     if count < min_accepted:
         raise TooFewAcceptancesError(
@@ -222,15 +214,23 @@ def alpha_monte_carlo(
 def section_covariance(a) -> SectionCovariance:
     """Covariance of the uniform distribution on the planar ellipsoid section.
 
+    Takes one ``(d, d)`` matrix or a ``(..., d, d)`` stack, and returns a
+    ``(2, 2)`` matrix with an int rank, or a ``(..., 2, 2)`` stack with an
+    array of ranks.
+
     The section of {S x : |x| <= 1} (S the PSD square root of ``a``) by the
     span E of the first two coordinates is {x in E ∩ range(a) :
     x' a^+ x <= 1}.  Its dimension r is the number of zero principal angles
-    between E and range(a):
+    between E and range(a), read as the singular values of (I - P) E with P
+    the projector onto range(a): they are the sines of the principal angles,
+    which resolve small angles that ``1 - cos`` rounds away (Björck & Golub
+    1973).
 
     * r = 2: solid ellipse with quadratic form M, the E-block of the
       pseudo-inverse; the uniform covariance is M^(-1) / 4.
     * r = 1: segment of half-length 1/sqrt(v' a^+ v) along the shared unit
-      direction v; the uniform covariance is L^2/3 on that direction.
+      direction v, the right singular vector of the zero sine; the uniform
+      covariance is L^2/3 on that direction.
     * r = 0: the section is the origin and the covariance is zero.
 
     range(a) is spanned by the eigenvectors whose eigenvalues exceed
@@ -240,37 +240,27 @@ def section_covariance(a) -> SectionCovariance:
     rank 2 up to condition numbers of about 1 / (64 d eps), 2e13 at d = 3.
     """
     w, v = psd_eigh(a, PSD_REL_TOL)
-    d = w.size
+    d = w.shape[-1]
     if d < 2:
         raise InvalidParamsError("section needs ambient dimension at least 2")
-    zero = SectionCovariance(np.zeros((2, 2)), 0)
-    w_max = float(np.max(w))
-    if w_max == 0.0:
-        return zero
+    keep = w > RANK_ROUNDING_MARGIN * d * np.finfo(float).eps * np.max(w, axis=-1, keepdims=True)
+    kept = v * keep[..., None, :]
+    residual = np.eye(d)[:, :2] - kept @ kept[..., :2, :].swapaxes(-1, -2)
+    _, sines, right = np.linalg.svd(residual, full_matrices=False)
+    rank = np.count_nonzero(sines <= ANGLE_TOL, axis=-1)
 
-    keep = w > RANK_ROUNDING_MARGIN * d * np.finfo(float).eps * w_max
-    range_basis = v[:, keep].T
-    plane_basis = np.zeros((2, d))
-    plane_basis[0, 0] = 1.0
-    plane_basis[1, 1] = 1.0
-    r = subspace_intersection_dim(plane_basis, range_basis)
-    if r == 0:
-        return zero
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    pinv_block = ((v * inv[..., None, :]) @ v.swapaxes(-1, -2))[..., :2, :2]
+    pinv_block = 0.5 * (pinv_block + pinv_block.swapaxes(-1, -2))
 
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    pinv_block = ((v * inv) @ v.T)[:2, :2]
-    pinv_block = 0.5 * (pinv_block + pinv_block.T)
-
-    if r == 2:
-        return SectionCovariance(_invert_2x2(pinv_block) / 4.0, 2)
-
-    # r == 1: the principal pair at angle zero gives the shared direction.
-    u_side, _, _ = np.linalg.svd(plane_basis @ range_basis.T)
-    v_e = u_side[:, 0]
-    qform = float(v_e @ pinv_block @ v_e)
-    half_length_sq = 1.0 / qform
-    return SectionCovariance((half_length_sq / 3.0) * np.outer(v_e, v_e), 1)
+    out = np.zeros(w.shape[:-1] + (2, 2))
+    two, one = rank == 2, rank == 1
+    out[two] = _invert_2x2(pinv_block[two]) / 4.0
+    shared = right[one][:, 1]  # the sines come sorted, so the zero one is last
+    # v' M v elementwise, not by einsum, so a member's bits do not depend on the stack
+    half_length_sq = 1.0 / ((shared[:, :, None] * pinv_block[one]).sum(axis=1) * shared).sum(axis=1)
+    out[one] = (half_length_sq / 3.0)[:, None, None] * (shared[:, :, None] * shared[:, None, :])
+    return SectionCovariance(out, int(rank) if np.ndim(rank) == 0 else rank)
 
 
 def kd_constant(d: int) -> float:

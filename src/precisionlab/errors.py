@@ -17,10 +17,6 @@ class NotUnitVectorError(PrecisionLabError, ValueError):
     """Vector norm deviates from 1 beyond tolerance."""
 
 
-class BasisNotOrthonormalError(PrecisionLabError, ValueError):
-    """Supplied vectors are not orthonormal within tolerance."""
-
-
 class IndexOutOfRangeError(PrecisionLabError, IndexError):
     """Coordinate index outside the matrix dimension, or a repeated index pair."""
 

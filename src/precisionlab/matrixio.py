@@ -14,9 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatrixParseError
-from .matcore import symmetric_part
-
-SYMMETRY_TOL = 1e-12
+from .matcore import SYM_TOL, symmetric_part
 
 
 def load_symmetric_matrix(path) -> np.ndarray:
@@ -64,9 +62,9 @@ def load_symmetric_matrix(path) -> np.ndarray:
         rows.append(values)
 
     m = np.array(rows, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m))))
+    scale = float(np.max(np.abs(m)))
     asym = np.abs(m - m.T)
-    if float(asym.max()) > SYMMETRY_TOL * scale:
+    if float(asym.max()) > SYM_TOL * scale:
         i, j = divmod(int(np.argmax(asym)), d)
         raise MatrixParseError(
             f"matrix is not symmetric: entry ({i + 1},{j + 1}) != entry ({j + 1},{i + 1})",

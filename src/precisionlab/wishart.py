@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParamsError
-from .matcore import check_symmetric, cholesky_logdet
+from .matcore import check_matrix, cholesky_logdet
 from .sampler import RngStream
 
 
@@ -68,7 +68,7 @@ def log_density(params, g) -> float:
     rather than silently mapped to -inf.
     """
     n, p = _validated(params)
-    gm = check_symmetric(g)
+    gm = check_matrix(g)
     if gm.shape[0] != n:
         raise InvalidParamsError(f"matrix is {gm.shape[0]}x{gm.shape[0]}, params say n={n}")
     logdet = cholesky_logdet(gm).logdet

@@ -207,11 +207,7 @@ def test_c09_section_proportionality():
 def test_c10_rank_trichotomy():
     d, count = 4, 100_000
     thetas = uniform_sphere_many(d, count, RngStream(10))
-    eye = np.eye(d)
-    ranks = np.fromiter(
-        (section_covariance(eye - np.outer(t, t)).rank for t in thetas),
-        dtype=np.int64, count=count,
-    )
+    ranks = section_covariance(np.eye(d) - thetas[:, :, None] * thetas[:, None, :]).rank
     all_one = np.all(ranks == 1)
     perp = np.zeros(d)
     perp[d - 1] = 1.0

@@ -300,6 +300,14 @@ class TestSectionCommand:
         assert main(["section", "--matrix-file", str(path)]) == 2
         assert "line 2, column 2" in capsys.readouterr().err
 
+    def test_asymmetry_below_unit_scale_exit_code(self, tmp_path, capsys):
+        # Entry (1,2) differs from (2,1) by a tenth of the largest entry; the
+        # tolerance is relative at every scale, as it is for this file * 1e13.
+        path = tmp_path / "tiny.txt"
+        path.write_text("3\n1e-13 1e-14 0\n0 1e-13 0\n0 0 1e-13\n")
+        assert main(["section", "--matrix-file", str(path)]) == 2
+        assert "line 2, column 2" in capsys.readouterr().err
+
     def test_full_rank_section(self, tmp_path):
         path = tmp_path / "id.txt"
         path.write_text(IDENTITY_FILE)

@@ -8,6 +8,7 @@ from precisionlab import (
     IndexOutOfRangeError,
     InvalidParamsError,
     NotPdError,
+    NotPsdError,
     RngStream,
     SingularBlockError,
     TooFewAcceptancesError,
@@ -21,9 +22,9 @@ from precisionlab import (
     sym_sqrt,
     uniform_sphere_many,
 )
-from precisionlab import conditional
 from precisionlab.conditional import _invert_2x2
 from precisionlab.parallel import batch_counts
+from precisionlab.sampler import random_subspace_basis
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 
@@ -212,7 +213,7 @@ def _symmetric_root_route(a, i, j, epsilon, trials, rng):
 
 
 class TestAlphaRoutes:
-    """The worker path (elementwise, chunked) against plain matrix products."""
+    """The worker path (elementwise, in blocks) against plain matrix products."""
 
     @pytest.mark.parametrize("d, i, j", [(2, 0, 1), (3, 1, 2), (3, 2, 0), (5, 4, 0), (6, 0, 1)])
     def test_matches_matrix_product_route(self, d, i, j):
@@ -235,17 +236,6 @@ class TestAlphaRoutes:
         new = est.values[[0, 0, 1], [0, 1, 1]]
         new_se = est.standard_errors[[0, 0, 1], [0, 1, 1]]
         assert np.all(np.abs(new - means) < 4 * np.hypot(new_se, ses)), (new, means)
-
-    def test_chunk_size_does_not_change_estimate(self, monkeypatch):
-        a = helpers.random_spd(5, seed=5005)
-        # 300,000 proposals make batches of 9,375 rows: one default chunk each,
-        # or nine chunks of 1,000 and a partial one.
-        default = alpha_monte_carlo(a, 4, 0, 0.6, 300_000, RngStream(59))
-        monkeypatch.setattr(conditional, "_CHUNK_ROWS", 1000)
-        chunked = alpha_monte_carlo(a, 4, 0, 0.6, 300_000, RngStream(59))
-        assert np.array_equal(default.values, chunked.values)
-        assert np.array_equal(default.standard_errors, chunked.standard_errors)
-        assert default.accepted == chunked.accepted
 
 
 class TestSectionCovariance:
@@ -286,17 +276,67 @@ class TestSectionCovariance:
         assert np.max(np.abs(result.matrix - 0.25 * np.eye(2))) < 1e-10
 
     def test_random_directions_give_rank_one(self):
-        for theta in uniform_sphere_many(5, 2000, RngStream(62)):
-            assert section_covariance(projector_complement(theta)).rank == 1
+        thetas = uniform_sphere_many(5, 2000, RngStream(62))
+        ranks = section_covariance(np.eye(5) - thetas[:, :, None] * thetas[:, None, :]).rank
+        assert np.all(ranks == 1)
 
     def test_random_two_dim_deficiency_gives_rank_zero(self):
         rng = RngStream(63)
-        from precisionlab.sampler import random_subspace_basis
+        b = np.concatenate([random_subspace_basis(6, 2, 1, rng) for _ in range(200)])
+        result = section_covariance(np.eye(6) - b.swapaxes(1, 2) @ b)
+        assert np.all(result.rank == 0)
+        assert np.all(result.matrix == 0.0)
 
-        for _ in range(200):
-            b = random_subspace_basis(6, 2, 1, rng)[0]
-            a = np.eye(6) - b.T @ b
-            assert section_covariance(a).rank == 0
+    def test_shared_axis(self):
+        # range(A) = span(e2, e3, e4) in R^4 meets the plane only in span(e2):
+        # the section is the unit segment along the second axis.
+        result = section_covariance(np.diag([0.0, 1.0, 1.0, 1.0]))
+        assert result.rank == 1
+        assert np.max(np.abs(result.matrix - np.diag([0.0, 1.0 / 3.0]))) < 1e-12
+
+    def test_small_angle_is_not_shared(self):
+        # A = e2 e2' + t t' with t = (1, 0, 1e-5)/|.|: range(A) meets the plane
+        # only in span(e2).  t leaves it at 1e-5 rad, where 1 - cos is 5e-11
+        # but the sine is 1e-5.
+        e2 = np.array([0.0, 1.0, 0.0])
+        t = np.array([1.0, 0.0, 1e-5]) / math.hypot(1.0, 1e-5)
+        result = section_covariance(np.outer(e2, e2) + np.outer(t, t))
+        assert result.rank == 1
+        assert np.max(np.abs(result.matrix - np.diag([0.0, 1.0 / 3.0]))) < 1e-10
+
+    def test_tilted_complement(self):
+        # theta = (e1 + e3)/sqrt(2); the plane meets its complement in span(e2).
+        theta = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
+        result = section_covariance(projector_complement(theta))
+        assert result.rank == 1
+        assert np.max(np.abs(result.matrix - np.diag([0.0, 1.0 / 3.0]))) < 1e-12
+
+    def test_contained_plane(self):
+        # The plane lies inside range(A), once as all of it and once inside the
+        # complement of e3: the unit disk either way.
+        for a in (np.diag([1.0, 1.0, 0.0]), projector_complement(np.array([0.0, 0.0, 1.0]))):
+            result = section_covariance(a)
+            assert result.rank == 2
+            assert np.max(np.abs(result.matrix - 0.25 * np.eye(2))) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_range_meets_plane_generically(self, seed):
+        # A random k-dim range(A) in R^8 meets the plane in max(k - 6, 0)
+        # dimensions almost surely.
+        g = np.random.default_rng(seed)
+        bases = [np.linalg.qr(g.standard_normal((8, k)))[0] for k in range(3, 9)]
+        result = section_covariance(np.array([q @ q.T for q in bases]))
+        assert result.rank.tolist() == [0, 0, 0, 0, 1, 2]
+
+    def test_rank_one_on_random_directions_matches_closed_form(self):
+        # The section of I - theta theta' is the unit segment along
+        # v = (-theta_2, theta_1)/|theta_E|, so its covariance is v v' / 3.
+        thetas = uniform_sphere_many(4, 100_000, RngStream(10))
+        result = section_covariance(np.eye(4) - thetas[:, :, None] * thetas[:, None, :])
+        v = np.stack([-thetas[:, 1], thetas[:, 0]], axis=1)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.all(result.rank == 1)
+        assert np.max(np.abs(result.matrix - v[:, :, None] * v[:, None, :] / 3.0)) < 1e-12
 
     def test_rank_one_tilted_in_plane(self):
         # A = w w' with w = (2, 1, 0): the section is the segment t * w/|w|
@@ -326,6 +366,58 @@ class TestSectionCovariance:
     def test_rejects_dimension_one(self):
         with pytest.raises(InvalidParamsError):
             section_covariance(np.array([[1.0]]))
+
+
+def _mixed_sections(d, count, seed):
+    """``count`` covariances in dimension d with 0, 1 or 2 null directions in
+    a random frame, so section ranks 2, 1 and 0 all occur."""
+    g = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        q = np.linalg.qr(g.standard_normal((d, d)))[0]
+        w = np.concatenate([np.zeros(k % 3), g.uniform(0.5, 2.0, d - k % 3)])
+        a = (q * w) @ q.T
+        out.append(0.5 * (a + a.T))
+    return np.array(out)
+
+
+class TestStackedSections:
+    """A stack of matrices gives, member by member, what one matrix gives."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_stack_matches_single_calls_bit_for_bit(self, d):
+        stack = _mixed_sections(d, 30, seed=700 + d)
+        result = section_covariance(stack.reshape(5, 6, d, d))
+        assert result.matrix.shape == (5, 6, 2, 2)
+        singles = [section_covariance(a) for a in stack]
+        assert sorted({s.rank for s in singles}) == [0, 1, 2]
+        assert all(isinstance(s.rank, int) for s in singles)
+        assert result.rank.reshape(-1).tolist() == [s.rank for s in singles]
+        expected = np.array([s.matrix for s in singles])
+        assert result.matrix.reshape(-1, 2, 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("defect, error", [("nan", InvalidParamsError),
+                                               ("asymmetric", InvalidParamsError),
+                                               ("indefinite", NotPsdError)])
+    def test_bad_member_raises_its_own_error(self, defect, error):
+        stack = _mixed_sections(4, 6, seed=710)
+        bad = stack[3]
+        if defect == "nan":
+            bad[0, 0] = math.nan
+        elif defect == "asymmetric":
+            bad[0, 1] += 1e-6
+        else:
+            bad -= 2.5 * np.eye(4)
+        with pytest.raises(error) as single:
+            section_covariance(bad)
+        with pytest.raises(error) as stacked:
+            section_covariance(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_empty_stack(self):
+        result = section_covariance(np.zeros((0, 3, 3)))
+        assert result.matrix.shape == (0, 2, 2)
+        assert result.rank.shape == (0,)
 
 
 class TestKdConstant:

@@ -5,15 +5,20 @@ import pytest
 
 import helpers
 from precisionlab import (
-    BasisNotOrthonormalError,
+    Ensemble,
     InvalidParamsError,
     NotPdError,
     NotPsdError,
     NotUnitVectorError,
+    RngStream,
+    alpha_analytic,
+    alpha_monte_carlo,
     cholesky_logdet,
+    conditional_covariance_schur,
+    log_density,
+    precision_block,
     projector_complement,
     psd_eigh,
-    subspace_intersection_dim,
     sym_sqrt,
 )
 from precisionlab.matcore import check_symmetric
@@ -126,50 +131,6 @@ class TestProjectorComplement:
             projector_complement(np.array([1.0, 1.0]))
 
 
-class TestSubspaceIntersectionDim:
-    def test_shared_axis(self):
-        e = np.eye(4)
-        assert subspace_intersection_dim(e[:2], e[1:4]) == 1
-
-    def test_contained_plane(self):
-        # The plane of the first two axes sits inside the complement of e3.
-        e = np.eye(3)
-        assert subspace_intersection_dim(e[:2], e[:2]) == 2
-        v = np.random.default_rng(1).standard_normal(3)
-        theta = np.array([0.0, 0.0, 1.0])
-        comp = np.linalg.svd(projector_complement(theta))[0][:, :2].T
-        assert subspace_intersection_dim(e[:2], comp) == 2
-
-    def test_tilted_complement(self):
-        # theta = (e1 + e3)/sqrt(2); the plane meets its complement in span(e2).
-        theta = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-        p = projector_complement(theta)
-        w, v = np.linalg.eigh(p)
-        basis = v[:, w > 0.5].T
-        e = np.eye(3)
-        assert subspace_intersection_dim(e[:2], basis) == 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_symmetric_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        u = np.linalg.qr(rng.standard_normal((8, 3)))[0].T
-        v = np.linalg.qr(rng.standard_normal((8, 5)))[0].T
-        lhs = subspace_intersection_dim(u, v)
-        assert lhs == subspace_intersection_dim(v, u)
-        assert 0 <= lhs <= 3
-
-    def test_small_angle_is_not_shared(self):
-        # At 1e-5 rad, 1 - cos is 5e-11 while the sine is 1e-5.
-        e = np.eye(3)
-        tilted = np.array([[1.0, 0.0, 1e-5]]) / math.hypot(1.0, 1e-5)
-        assert subspace_intersection_dim(tilted, e[:1]) == 0
-        assert subspace_intersection_dim(e[:2], np.vstack([e[1], tilted])) == 1
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(BasisNotOrthonormalError):
-            subspace_intersection_dim(np.array([[1.0, 1.0, 0.0]]), np.eye(3)[:1])
-
-
 class TestMalformedInput:
     @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros((0, 0)),
                                    np.array([[1.0, 0.5], [0.0, 1.0]])])
@@ -177,9 +138,65 @@ class TestMalformedInput:
         with pytest.raises(InvalidParamsError):
             check_symmetric(a)
 
-    def test_mismatched_ambient_dimensions(self):
+    @pytest.mark.parametrize("a", [np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                   np.array([[1.0, 1e-11], [0.0, 1.0]]),
+                                   np.array([[1.0, 1e-13], [0.0, 1.0]]),
+                                   np.diag([3.0, 1.0, 2.0]) + np.triu(np.full((3, 3), 4e-12), 1),
+                                   helpers.random_spd(4, seed=3)])
+    def test_symmetry_tolerance_is_relative_at_every_scale(self, a):
+        # Below unit scale the tolerance must not turn absolute: whatever is
+        # refused at scale 1 is refused at scale 1e-13, and only that.
+        def refused(m):
+            try:
+                check_symmetric(m)
+            except InvalidParamsError:
+                return True
+            return False
+
+        assert refused(1e-13 * a) == refused(a)
+
+    def test_zero_matrix_is_symmetric(self):
+        assert np.array_equal(check_symmetric(np.zeros((3, 3))), np.zeros((3, 3)))
+
+    def test_one_matrix_entry_points_refuse_a_stack(self):
+        stack = np.stack([np.eye(3), helpers.random_spd(3, seed=4)])
+        calls = [lambda: alpha_analytic(stack, 0, 1),
+                 lambda: precision_block(stack, 0, 2),
+                 lambda: conditional_covariance_schur(stack, 0, 1),
+                 lambda: alpha_monte_carlo(stack, 0, 2, 0.5, 1000, RngStream(0)),
+                 lambda: cholesky_logdet(stack),
+                 lambda: sym_sqrt(stack),
+                 lambda: log_density((3, 5), stack),
+                 lambda: Ensemble.explicit(stack)]
+        for call in calls:
+            with pytest.raises(InvalidParamsError):
+                call()
+
+
+class TestStacks:
+    """check_symmetric and psd_eigh judge each matrix of a stack by its own scale."""
+
+    def test_check_symmetric_applies_each_matrix_scale(self):
+        # 1e-9 of asymmetry is within tolerance next to 1e4, not next to 1.
+        big = np.array([[1e4, 1e-9], [0.0, 1.0]])
+        assert check_symmetric(np.stack([big, np.eye(2)])).shape == (2, 2, 2)
         with pytest.raises(InvalidParamsError):
-            subspace_intersection_dim(np.eye(3)[:1], np.eye(4)[:1])
+            check_symmetric(np.stack([big, np.eye(2) + np.triu(np.full((2, 2), 1e-9), 1)]))
+
+    def test_psd_eigh_matches_single_calls(self):
+        stack = np.stack([helpers.random_spd(4, seed=s) for s in range(5)]
+                         + [np.diag([1.0, -1e-14, 2.0, 0.0])])
+        w, v = psd_eigh(stack)
+        for k, a in enumerate(stack):
+            ws, vs = psd_eigh(a)
+            assert w[k].tobytes() == ws.tobytes() and v[k].tobytes() == vs.tobytes()
+
+    def test_psd_eigh_clamps_each_matrix_by_its_own_scale(self):
+        # -1e-6 is rounding noise next to 1e6 but indefinite next to 1.
+        small = np.diag([1.0, -1e-6])
+        assert psd_eigh(np.stack([np.diag([1e6, -1e-6]), np.eye(2)]))[0][0, 0] == 0.0
+        with pytest.raises(NotPsdError):
+            psd_eigh(np.stack([np.diag([1e6, 1.0]), small]))
 
 
 class TestNonFiniteInput:

@@ -62,6 +62,10 @@ class TestLoad:
             load_symmetric_matrix(write(tmp_path, "2\n1 0.5\n0.4 1\n"))
         assert "symmetric" in str(err.value)
 
+    def test_zero_matrix_is_symmetric(self, tmp_path):
+        assert np.array_equal(load_symmetric_matrix(write(tmp_path, "2\n0 0\n0 0\n")),
+                              np.zeros((2, 2)))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixParseError):
             load_symmetric_matrix(tmp_path / "absent.txt")
