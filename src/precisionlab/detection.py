@@ -35,7 +35,7 @@ import numpy as np
 from .conditional import section_covariance
 from .errors import InvalidParamsError, ThetaInEPerpError, UnknownDetectorError
 from .matcore import projector_complement, sym_sqrt
-from .parallel import run_batched
+from .parallel import FOLD_ROWS, run_batched
 from .sampler import (
     RngStream,
     deficient_batches,
@@ -390,16 +390,23 @@ def _success(
 ) -> EnsembleResult:
     label = ensemble.correct_label()
     p = ensemble.gram_dof()
-    draw = logdet_samples if detector.statistic == "logdet" else trace_samples
+    direct = detector.rule is not None and p is not None and n <= p  # draw the statistic alone
+    logdet = detector.statistic == "logdet"
+    draw, rows = (logdet_samples, (n + 1) // 2) if logdet else (trace_samples, 1)
 
-    def batch(count: int, stream: RngStream) -> int:
-        if detector.rule is not None and p is not None and n <= p:
-            guesses = detector.rule(draw((n, p), count, stream))
-        else:
+    def batch(count: int, stream: RngStream, work: np.ndarray | None = None) -> int:
+        if not direct:
             guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
-        return int(np.count_nonzero(guesses == label))
+            return int(np.count_nonzero(guesses == label))
+        hits = 0
+        for start in range(0, count, FOLD_ROWS):
+            size = min(FOLD_ROWS, count - start)
+            values = draw((n, p), size, stream, out=work[: rows * size].reshape(rows, size))
+            hits += int(np.count_nonzero(detector.rule(values) == label))
+        return hits
 
-    hits = sum(run_batched(batch, trials, rng, workers=workers))
+    scratch = (lambda: np.empty(rows * FOLD_ROWS)) if direct else None
+    hits = sum(run_batched(batch, trials, rng, workers=workers, scratch=scratch))
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return EnsembleResult(ensemble.kind, int(label), p, se)

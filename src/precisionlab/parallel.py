@@ -6,8 +6,9 @@ number of threads.  The calling thread and ``workers - 1`` persistent helper
 threads pull batch indices from one iterator.  Batch functions must be pure
 given their stream, and may call ``run_batched`` themselves.
 
-A Monte Carlo batch returns a moment accumulator (rows count, mean, M2, and
-M3, M4 at order 4; one column per statistic), not its values: it draws
+A Monte Carlo batch returns a moment accumulator, not its values: one column
+per statistic, rows count, mean, M2, (M3, M4 at order 4,) then row k of the
+co-moments C[i, (i + k) % cols] for k = 1 .. cols - 1 (M2 is k = 0).  It draws
 blocks of at most ``FOLD_ROWS`` values into scratch made once per thread per
 call and merges their moments pairwise (Chan, Golub & LeVeque 1979; Pébay
 2008, SAND2008-6212).  So memory is bounded whatever the number of trials.
@@ -16,6 +17,7 @@ call and merges their moments pairwise (Chan, Golub & LeVeque 1979; Pébay
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -55,13 +57,12 @@ def run_batched(
     ``fn(count, stream, that_value)``.
     """
     counts = batch_counts(total, n_batches)
-    streams = [rng.child(i) for i in range(len(counts))]
     out, todo = [None] * len(counts), iter(range(len(counts)))
 
     def drain() -> None:
         extra = (scratch(),) if scratch else ()
-        for i in todo:
-            out[i] = fn(counts[i], streams[i], *extra)
+        for i in todo:  # a child stream is a pure function of its key, so any thread builds it
+            out[i] = fn(counts[i], rng.child(i), *extra)
 
     helpers = min(workers or 1, len(counts)) - 1
     if helpers > 0 and helpers not in _HELPERS:  # setdefault: racing callers share one
@@ -81,17 +82,21 @@ def moments(values: np.ndarray, order: int = 2, work: np.ndarray | None = None) 
     """Accumulator of ``values`` (cols, count), with optional (order // 2, cols, >= count) ``work``.
 
     Two passes, about the first value and then about the mean: constant
-    input has exactly zero central moments."""
+    input has exactly zero central moments.  Layout as in the module docstring."""
     cols, count = values.shape
     work = np.empty((order // 2, cols, count)) if work is None else work
     dev = np.subtract(values, values[:, :1], out=work[0, :, :count])
     shift = dev.sum(axis=1) / count
     dev -= shift[:, None]
+    dots = {}
+    for a, b in itertools.combinations(range(cols), 2):  # einsum: no BLAS call, no temporary
+        dots[a, b] = dots[b, a] = np.einsum("k,k->", dev[a], dev[b])
+    cross = [[dots[a, (a + k) % cols] for a in range(cols)] for k in range(1, cols)]
     sq = np.square(dev, out=work[-1, :, :count])
     sums = [sq.sum(axis=1)]
     if order == 4:
         sums += [np.multiply(dev, sq, out=dev).sum(axis=1), np.square(sq, out=sq).sum(axis=1)]
-    return np.array([np.full(cols, float(count)), values[:, 0] + shift, *sums])
+    return np.array([np.full(cols, float(count)), values[:, 0] + shift, *sums, *cross])
 
 
 def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,20 +104,28 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     na, nb = a[0, 0], b[0, 0]
     if na == 0 or nb == 0:
         return b if na == 0 else a
-    n, delta = na + nb, b[1] - a[1]
+    n, delta, cols = na + nb, b[1] - a[1], a.shape[1]
     out = [a[0] + b[0], a[1] + delta * (nb / n), a[2] + b[2] + delta * delta * (na * nb / n)]
-    if len(a) > 3:
+    if len(a) > cols + 2:  # order 4
         out.append(a[3] + b[3] + delta**3 * (na * nb * (na - nb) / n**2)
                    + 3.0 * delta * (na * b[2] - nb * a[2]) / n)
         out.append(a[4] + b[4] + delta**4 * (na * nb * (na * na - na * nb + nb * nb) / n**3)
                    + 6.0 * delta * delta * (na * na * b[2] + nb * nb * a[2]) / n**2
                    + 4.0 * delta * (na * b[3] - nb * a[3]) / n)
+    rolled = delta[(np.arange(cols) + np.arange(1, cols)[:, None]) % cols]  # at (i + k) % cols
+    out += list(a[len(a) - cols + 1:] + b[len(a) - cols + 1:] + delta * rolled * (na * nb / n))
     return np.array(out)
 
 
 def merge_all(parts: list[np.ndarray]) -> np.ndarray:
     """Merge accumulators left to right, in batch order."""
     return functools.reduce(merge, parts)
+
+
+def comoments(acc: np.ndarray) -> np.ndarray:
+    """The (cols, cols) block of central co-moments of an accumulator."""
+    cols, i = acc.shape[1], np.arange(acc.shape[1])
+    return np.vstack([acc[2], acc[len(acc) - cols + 1:]])[(i - i[:, None]) % cols, i[:, None]]
 
 
 def mean_sd(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,15 +14,18 @@ form, the moment-ratio form, the Monte Carlo estimate of the exact integral,
 and the full inequality chain with standard errors, plus an adaptive-Simpson
 quadrature oracle for the n = 1 case (a plain chi-square pair).
 
-The Monte Carlo estimators need only log det G, which they draw by the
-Bartlett decomposition (``wishart.logdet_samples``): log det W(n, p) is a
-sum of n independent log chi-squares with p, p-1, ..., p-n+1 degrees of
-freedom, and each consecutive pair is drawn as one log gamma.  Each trial
-costs ceil(n/2) draws instead of n*p normals, a Gram product and a slogdet.
-Draws come in chunks of at most ``parallel.FOLD_ROWS`` into per-thread
-scratch, and each batch returns only the moments of the ratio x and of
-|1 - x|, so memory does not grow with the trials; the middle link's
-batch-means error reads each batch's own moments.
+The Monte Carlo estimators need only log det G, drawn by the Bartlett
+decomposition in ceil(n/2) variates per trial (``wishart.logdet_samples``)
+in chunks into per-thread scratch; batches return only moments and
+co-moments, and the middle link's batch-means error reads each batch's own.
+
+The forward TV estimate regresses y = |1 - x| on the controls x and x^2,
+whose exact means are 1 and E x^2 = R^2 (d-1)!/(d-1-n)!, R = Z(n,d-1)/Z(n,d)
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, section 4.1).
+It is half of mean(y) - beta . (mean(x) - 1, mean(x^2) - E x^2), with beta
+the minimum-norm solution of S_XX beta = S_Xy over co-moments pooled in
+batch order, and its error is half of sqrt(RSS / (N - 3) / N).  The reverse
+estimate keeps the plain mean: its x^2 has infinite variance when d <= n + 3.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParamsError, InvariantViolationError
-from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
+from .parallel import FOLD_ROWS, comoments, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 from .wishart import WishartParams, det_moments_exact, log_normalizer, logdet_samples
 
@@ -81,7 +84,7 @@ class McEstimate(NamedTuple):
 def _ratio_moments(
     n: int, d: int, trials: int, rng: RngStream, workers: int, reverse: bool
 ) -> list[np.ndarray]:
-    """Per-batch accumulators of (x, |1 - x|) over density-ratio values x.
+    """Per-batch accumulators of (x, x^2, |1 - x|), reverse |1 - x|, over ratio values x.
 
     The mean absolute deviation of x from 1 is twice the TV.
     Forward: x = det(G)^(1/2) * Z(n,d-1)/Z(n,d) under G ~ W(n, d-1).
@@ -99,37 +102,48 @@ def _ratio_moments(
     params = WishartParams(n, d if reverse else d - 1)
     sign = -1.0 if reverse else 1.0
     log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
-    terms = (n + 1) // 2  # rows logdet_samples draws into
+    terms, cols = (n + 1) // 2, 1 if reverse else 3  # rows logdet_samples draws into; statistics
 
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
-        acc = np.zeros((3, 2))
+        acc = np.zeros((cols + 2, cols))
         for start in range(0, count, FOLD_ROWS):
             rows = min(FOLD_ROWS, count - start)
             x = logdet_samples(params, rows, stream, out=work[: terms * rows].reshape(terms, rows))
             x *= 0.5 * sign
             x += sign * log_z_ratio
-            values = work[: 2 * rows].reshape(2, rows)  # x, then |1 - x|
-            np.exp(x, out=values[0])
-            np.abs(np.subtract(1.0, values[0], out=values[1]), out=values[1])
-            acc = merge(acc, moments(values, 2, work[-2 * rows :].reshape(1, 2, rows)))
+            values = work[: cols * rows].reshape(cols, rows)  # its row 0 is x
+            np.exp(x, out=x)
+            if not reverse:
+                np.square(x, out=values[1])
+            np.abs(np.subtract(1.0, x, out=values[-1]), out=values[-1])
+            acc = merge(acc, moments(values, 2, work[-cols * rows :].reshape(1, cols, rows)))
         return acc
 
     return run_batched(batch, trials, rng, workers,
-                       scratch=lambda: np.empty((max(2, terms) + 2) * FOLD_ROWS))
+                       scratch=lambda: np.empty((max(cols, terms) + cols) * FOLD_ROWS))
+
+
+def _tv_estimate(acc: np.ndarray, n: int, d: int) -> McEstimate:
+    """Half the mean of |1 - x| (last column) regressed on the other columns at exact means."""
+    count, mean, c, k = acc[0, 0], acc[1], comoments(acc), acc.shape[1] - 1  # k controls
+    beta = np.linalg.lstsq(c[:k, :k], c[:k, k], rcond=None)[0]  # minimum norm: 0 if singular
+    second = math.exp(2.0 * (log_normalizer((n, d - 1)) - log_normalizer((n, d)))
+                      + math.log(det_moments_exact(WishartParams(n, d - 1))[0]))
+    estimate = mean[k] - beta @ (mean[:k] - (1.0, second)[:k])
+    se = math.sqrt(max(c[k, k] - c[k, :k] @ beta, 0.0) / (count - 1.0 - k)) / math.sqrt(count)
+    return McEstimate(0.5 * float(estimate), 0.5 * se)
 
 
 def tv_exact_mc(
     n: int, d: int, trials: int, rng: RngStream, workers: int = 1, reverse: bool = False
 ) -> McEstimate:
-    """Monte Carlo estimate of the exact total variation, with standard error."""
-    acc = merge_all(_ratio_moments(n, d, trials, rng, workers, reverse))
-    mean, sd = mean_sd(acc)
-    return McEstimate(0.5 * float(mean[1]), 0.5 * float(sd[1]) / math.sqrt(acc[0, 0]))
+    """Monte Carlo TV with its standard error: forward by control variates, reverse plain."""
+    return _tv_estimate(merge_all(_ratio_moments(n, d, trials, rng, workers, reverse)), n, d)
 
 
 @dataclass(frozen=True)
 class TvReport:
-    """One (n, d) pair: the bound chain end to end, with Monte Carlo errors."""
+    """One (n, d) pair: the bound chain, with ``mc_*`` the control-variate ``tv_exact_mc``."""
 
     n: int
     d: int
@@ -148,6 +162,7 @@ def tv_report(n: int, d: int, trials: int, rng: RngStream, workers: int = 1) -> 
     parts = _ratio_moments(n, d, trials, rng, workers, reverse=False)
     acc = merge_all(parts)
     mean, sd = mean_sd(acc)
+    tv = _tv_estimate(acc, n, d)
     batch_mean, batch_sd = mean_sd(np.stack(parts, axis=-1)[:, 0])
     _, cv_sd = mean_sd(moments((0.5 * batch_sd / batch_mean)[None]))
     return TvReport(
@@ -157,8 +172,8 @@ def tv_report(n: int, d: int, trials: int, rng: RngStream, workers: int = 1) -> 
         moment_ratio_bound=tv_moment_ratio_bound(n, d),
         sqrt_moment_ratio_bound=0.5 * float(sd[0] / mean[0]),
         sqrt_moment_ratio_se=float(cv_sd[0]) / math.sqrt(len(parts)),
-        mc_estimate=0.5 * float(mean[1]),
-        mc_standard_error=0.5 * float(sd[1]) / math.sqrt(acc[0, 0]),
+        mc_estimate=tv.estimate,
+        mc_standard_error=tv.standard_error,
         samples_used=int(acc[0, 0]),
     )
 

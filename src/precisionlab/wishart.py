@@ -75,13 +75,6 @@ def log_density(params, g) -> float:
     return 0.5 * (p - n - 1) * logdet - 0.5 * float(np.trace(gm)) - log_normalizer(params)
 
 
-def _falling_product(top: int, terms: int) -> int:
-    out = 1
-    for t in range(top - terms + 1, top + 1):
-        out *= t
-    return out
-
-
 def _int_to_float(x: int) -> float:
     try:
         return float(x)
@@ -97,8 +90,8 @@ def det_moments_exact(params) -> tuple[int, int]:
     them exact far past where double-precision factorials overflow.
     """
     n, p = _validated(params)
-    mean = _falling_product(p, n)
-    second = _falling_product(p + 2, n)
+    mean = math.prod(range(p - n + 1, p + 1))
+    second = math.prod(range(p - n + 3, p + 3))
     return mean, mean * (second - mean)
 
 
@@ -148,10 +141,12 @@ def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
     return terms[0]
 
 
-def trace_samples(params, count: int, rng: RngStream) -> np.ndarray:
-    """``count`` independent draws of trace W(n, p), the sum of n*p squared normals: chi2_{np}."""
+def trace_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
+    """``count`` independent draws of trace W(n, p), the sum of n*p squared normals: chi2_{np},
+    drawn as numpy's ``chisquare`` draws it, into ``out`` (1, count) when given."""
     n, p = _validated(params, count)
-    return rng.gen.chisquare(n * p, count)
+    draws = rng.gen.standard_gamma(0.5 * n * p, (1, count), out=out)
+    return np.multiply(draws, 2.0, out=draws)[0]
 
 
 def logdet_trace_many(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -421,6 +421,16 @@ class TestStatisticRoute:
         assert a.results[1] == b.results[1]
 
 
+class TestChunkedStatisticDraws:
+    @pytest.mark.parametrize("name,n", [("det", 2), ("trace", 3)])
+    def test_one_row_statistics_do_not_depend_on_the_chunk_size(self, monkeypatch, name, n):
+        # A one-row statistic is one stream of draws, however many chunks it is drawn in.
+        detector = make_detector(name, n, 9)
+        ref = run_two_way_game(n, 9, detector, 20_000, RngStream(31), workers=2)
+        monkeypatch.setattr(detection, "FOLD_ROWS", 100)
+        assert run_two_way_game(n, 9, detector, 20_000, RngStream(31), workers=2) == ref
+
+
 class TestEnsembles:
     def test_correct_labels(self):
         assert Ensemble.full_rank(8).correct_label() == 2

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from precisionlab import InvalidParamsError, RngStream, alpha_monte_carlo, tv_report
+from precisionlab import (InvalidParamsError, RngStream, alpha_monte_carlo, lr_detector,
+                          run_two_way_game, tv_report)
 from precisionlab import parallel
 from precisionlab.cli import main
 from precisionlab.parallel import DEFAULT_BATCHES, batch_counts, run_batched
@@ -189,13 +190,15 @@ def _moments_command(trials):
 
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-# Each smaller size puts more than one chunk into every batch: tv and alpha
-# draw 2**16 rows per chunk, moments 1/2 draws 2**15 matrices.
+# Each smaller size puts more than one chunk into every batch: tv, alpha and
+# game draw 2**16 rows per chunk, moments 1/2 draws 2**15 matrices.
 STREAMED = {
     "tv": (lambda trials: tv_report(3, 30, trials, RngStream(1), workers=1), 2_200_000),
     "alpha": (lambda trials: alpha_monte_carlo(TRIDIAGONAL, 0, 1, 1.0, trials, RngStream(2)),
               2_200_000),
     "moments": (_moments_command, 1_100_000),
+    "game": (lambda trials: run_two_way_game(3, 30, lr_detector(3, 30), trials, RngStream(3),
+                                             workers=1), 2_200_000),
 }
 
 

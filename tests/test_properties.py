@@ -21,7 +21,7 @@ from precisionlab import (
     section_covariance,
 )
 from precisionlab.cli import main
-from precisionlab.parallel import merge_all, moments
+from precisionlab.parallel import comoments, merge_all, moments
 
 
 @st.composite
@@ -212,6 +212,22 @@ def test_merged_accumulators_match_two_pass_reference(seed, sizes, shift, scale)
     assert np.all(np.abs(acc[2] / (count - 1) - x.var(axis=1, ddof=1))
                   <= 1e-12 * x.var(axis=1, ddof=1))
     assert np.all(np.abs(acc[4] / count - fourth) <= 1e-12 * fourth)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       st.integers(1, 4), st.sampled_from([2, 4]))
+@example(0, [1] * 12, 3, 2)
+def test_merged_comoments_match_numpy_covariance(seed, sizes, cols, order):
+    # Correlated columns, uneven splits merged in order; the diagonal is the M2 row.
+    z = np.random.default_rng(seed).standard_normal((cols, sum(sizes) + 1))
+    x = np.cumsum(z, axis=0)
+    sizes = sizes + [1]
+    acc = merge_all([moments(p, order) for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
+    block = comoments(acc)
+    assert acc.shape == (cols + order, cols)
+    assert np.array_equal(np.diagonal(block), acc[2])
+    assert np.allclose(block / (x.shape[1] - 1), np.cov(x).reshape(cols, cols),
+                       rtol=1e-10, atol=1e-12)
 
 
 @given(st.floats(-1e300, 1e300), st.lists(st.integers(1, 40), min_size=1, max_size=12))

@@ -15,8 +15,34 @@ from precisionlab import (
     tv_report,
 )
 import precisionlab.tvbounds as tvbounds
+from precisionlab.parallel import merge_all, moments
 from precisionlab.tvbounds import validate_chain
-from precisionlab.wishart import log_normalizer
+from precisionlab.wishart import log_normalizer, logdet_samples
+
+
+def tv_two_exact(d):
+    """TV(W(2, d-1), W(2, d)) in closed form, an oracle independent of the program.
+
+    det W(2, p) has the law of G^2 with G ~ Gamma(p - 1), and the density ratio
+    of Gamma(d - 1) to Gamma(d - 2) is g / (d - 2), increasing in g.  By Scheffe
+    the distance is P(Gamma(d-1) > t) - P(Gamma(d-2) > t) at the crossing
+    t = Z(2,d)/Z(2,d-1) = d - 2, and the Poisson-gamma identity leaves one
+    Poisson mass: e^(-t) t^(d-2) / (d-2)!.
+    """
+    t = math.exp(log_normalizer((2, d)) - log_normalizer((2, d - 1)))
+    return math.exp(-t + (d - 2) * math.log(t) - math.lgamma(d - 1))
+
+
+def ratio_second_moment(n, d):
+    """E x^2 = (Z(n,d-1)/Z(n,d))^2 (d-1)!/(d-1-n)! for the forward ratio x."""
+    log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+    return math.exp(2.0 * log_ratio + math.lgamma(d) - math.lgamma(d - n))
+
+
+def assert_calibrated(z):
+    """The gate on a seed sweep: z-scores that look N(0, 1)."""
+    assert abs(np.mean(z)) <= 0.6, z
+    assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
 
 
 class TestClosedFormBound:
@@ -94,6 +120,13 @@ class TestQuadratureOracle:
     def test_rejects_bad_dof(self):
         with pytest.raises(InvalidParamsError):
             tv_chi2_quadrature(0, 2)
+
+
+class TestTwoSampleOracle:
+    def test_known_values(self):
+        assert tv_two_exact(3) == pytest.approx(1.0 / math.e, rel=1e-12)
+        assert tv_two_exact(7) == pytest.approx(0.1754674, abs=5e-8)
+        assert tv_two_exact(30) == pytest.approx(0.0751690, abs=5e-8)
 
 
 class TestExactMc:
@@ -183,3 +216,44 @@ class TestChain:
                                      "mc_standard_error": 0.0})
         with pytest.raises(InvariantViolationError):
             validate_chain(broken)
+
+
+class TestControlVariate:
+    """The forward estimator regresses |1 - x| on the controls (x, x^2)."""
+
+    def test_matches_least_squares_fit(self):
+        # Reference: ordinary least squares of y on (1, x, x^2), read at the
+        # controls' exact means; the residual variance gives the error.
+        n, d, count = 2, 7, 50_000
+        log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+        x = np.exp(0.5 * logdet_samples((n, d - 1), count, RngStream(88)) + log_ratio)
+        y = np.abs(1.0 - x)
+        values = np.array([x, x * x, y])
+        acc = merge_all([moments(part) for part in np.array_split(values, 7, axis=1)])
+        got = tvbounds._tv_estimate(acc, n, d)
+        design = np.column_stack([np.ones(count), x, x * x])
+        coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        expected = 0.5 * coef @ (1.0, 1.0, ratio_second_moment(n, d))
+        assert got.estimate == pytest.approx(expected, rel=1e-9)
+        assert got.standard_error == pytest.approx(0.5 * math.sqrt(rss[0] / (count - 3) / count),
+                                                   rel=1e-6)
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 7), (2, 30)])
+    def test_standard_error_is_calibrated_against_exact(self, n, d):
+        # Seeds fixed once; 30 runs at 1e5 trials against a deterministic oracle.
+        exact = tv_chi2_quadrature(1, 2) if n == 1 else tv_two_exact(d)
+        z = []
+        for seed in range(6000, 6030):
+            est = tv_exact_mc(n, d, 100_000, RngStream(seed))
+            z.append((est.estimate - exact) / est.standard_error)
+        assert_calibrated(z)
+
+    @pytest.mark.parametrize("n,d", [(3, 30), (1, 10), (2, 7)])
+    def test_middle_link_is_calibrated_against_closed_form(self, n, d):
+        # half-CV(sqrt det) = (1/2) sqrt(E x^2 - 1), since E x = 1; batch-means error.
+        exact = 0.5 * math.sqrt(ratio_second_moment(n, d) - 1.0)
+        z = []
+        for seed in range(6100, 6140):
+            report = tv_report(n, d, 100_000, RngStream(seed))
+            z.append((report.sqrt_moment_ratio_bound - exact) / report.sqrt_moment_ratio_se)
+        assert_calibrated(z)

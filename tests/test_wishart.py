@@ -290,6 +290,13 @@ class TestStatisticRoute:
                                    (helpers.var_se(trace), 2 * n * p)):
             assert abs(value - exact) < 5 * se, (n, p)
 
+    def test_trace_is_chisquare_bitwise(self):
+        expected = RngStream(14).gen.chisquare(90, 1000)
+        out = np.empty((1, 1000))
+        got = trace_samples((3, 30), 1000, RngStream(14), out=out)
+        assert np.array_equal(got, expected)
+        assert np.shares_memory(got, out)
+
     def test_determinism_and_validation(self):
         a = trace_samples((3, 30), 1000, RngStream(13))
         assert np.array_equal(a, trace_samples((3, 30), 1000, RngStream(13)))
