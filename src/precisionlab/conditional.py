@@ -17,9 +17,8 @@ running both code paths rather than hard-coding it.
 Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
 The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last) and
-screens on the first d - 2 normals; products go through ``einsum``, not
-BLAS, since BLAS inside a batch worker would start threads that fight the
-workers.
+thins the first screen by one binomial draw per batch; products use ``einsum``,
+as BLAS inside a batch worker would start threads that fight the workers.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ from .matcore import PSD_REL_TOL, RANK_ROUNDING_MARGIN, check_matrix, cholesky_l
 from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 
-# Rejection acceptance scales like epsilon^(d-2): beyond dimension 6 the
-# brute-force slab oracle stops being honest within any sane budget.
+# Sampling costs about epsilon * trials, but acceptances scale like
+# epsilon^(d-2): beyond dimension 6 the brute-force slab oracle stops being
+# honest within any sane budget.
 MAX_REJECTION_DIM = 6
 MIN_ACCEPTED = 1000
 # A principal angle whose sine is at most ANGLE_TOL counts as zero, i.e. one
@@ -142,6 +142,26 @@ def conditional_covariance_schur(a, i: int, j: int) -> np.ndarray:
     return 0.5 * (schur + schur.T)
 
 
+def _truncated_normals(gen, t: float, count: int, out: np.ndarray, work: np.ndarray) -> None:
+    """Fill ``out[:count]`` with N(0, 1) on (-t, t) by exact rejection (Devroye 1986): for t < 1,
+    uniforms on (-t, t) kept when u^2 < 2E, E ~ Exp(1) (85% or more kept), else normals kept
+    when |u| < t (68% or more).  A round proposes 1.02 times the missing draws over the keep
+    rate q; surplus spills into the rest of ``out``; ``work`` is 3 rows as long as ``out``."""
+    q = math.erf(t / math.sqrt(2.0)) * (math.sqrt(math.pi / 2.0) / t if t < 1.0 else 1.0)
+    filled = 0
+    while filled < count:
+        size = min(len(out) - filled, int(1.02 * (count - filled) / q) + 64)
+        u, v, w = work[:3, :size]
+        if t < 1.0:
+            np.subtract(np.multiply(gen.random(out=u), 2.0 * t, out=u), t, out=u)
+            gen.standard_exponential(out=v)
+            keep = np.square(u, out=w) < np.add(v, v, out=v)
+        else:
+            keep = np.abs(gen.standard_normal(out=u), out=v) < t
+        got = np.count_nonzero(keep)
+        filled += np.compress(keep, u, out=out[filled : filled + got]).size
+
+
 def alpha_monte_carlo(
     a,
     i: int,
@@ -156,8 +176,9 @@ def alpha_monte_carlo(
     over samples whose every other coordinate lies in (-epsilon, epsilon).
 
     Plain rejection with no importance weighting, so the oracle presumes
-    nothing about the answer.  Restricted to small dimension where the
-    acceptance rate is workable.
+    nothing about the answer; thinning the first screen (a binomial count of
+    passes, then z0 drawn given a pass) leaves the accepted rows' law exact.
+    Restricted to small dimension where the acceptance rate is workable.
     """
     m = check_matrix(a)
     d = m.shape[0]
@@ -175,23 +196,32 @@ def alpha_monte_carlo(
     # Pair last: under Y = C z the slab event reads only the first d - 2 normals.
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = cholesky_logdet(m[np.ix_(order, order)]).factor
+    rows, t = FOLD_ROWS // d, epsilon / c[0, 0] if d > 2 else math.inf
 
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
-        screen, pair = stream.child(0).gen, stream.child(1).gen
-        acc = np.zeros((3, 3))
-        for start in range(0, count, FOLD_ROWS):
-            z = screen.standard_normal(out=work[0, : min(FOLD_ROWS, count - start)])
-            if d > 2:  # einsum, not matmul: no BLAS call (and no BLAS threads) in a worker
-                y = np.einsum("rk,ck->rc", z, c[: d - 2, : d - 2], out=work[1, : len(z)])
-                z = np.compress(np.all(np.abs(y, out=y) < epsilon, axis=1), z, axis=0)
-            z = np.concatenate([z, pair.standard_normal((len(z), 2))], axis=1)
-            x, y = np.einsum("rk,ck->cr", z, c[d - 2 :])
-            if len(x):
-                acc = merge(acc, moments(np.array([x * x, x * y, y * y])))
+        gen, acc = stream.gen, np.zeros((3, 3))
+        passed = gen.binomial(count, math.erf(t / math.sqrt(2.0))) if d > 2 else count
+        for start in range(0, passed, rows):  # rows 3 on hold z, (d, n), then the moments' work
+            n = min(rows, passed - start)
+            z = work[3:].reshape(-1)[: d * n].reshape(d, n)
+            if d > 2:  # the first screen |c00 z0| < epsilon passed; z0 spills into z1
+                _truncated_normals(gen, t, n, work[3], work[:3])
+            if d > 3:  # the later screens, on the rows still in
+                gen.standard_normal(out=z[1 : d - 2])
+                y = np.einsum("kl,lr->kr", c[1 : d - 2, : d - 2], z[: d - 2], out=work[: d - 3, :n])
+                keep = np.all(np.abs(y, out=y) < epsilon, axis=0)
+                n = np.count_nonzero(keep)
+                z = np.compress(keep, z, axis=1, out=work[3:].reshape(-1)[: d * n].reshape(d, n))
+            gen.standard_normal(out=z[d - 2 :])
+            xy = np.einsum("cl,lr->cr", c[d - 2 :], z, out=work[0:3:2, :n])  # x, _, y
+            np.multiply(*xy, out=work[1, :n])
+            np.square(xy, out=xy)
+            if n:  # rows 0-2 hold x^2, xy, y^2
+                acc = merge(acc, moments(work[:3, :n], work=work[None, 3:6]))
         return acc
 
     acc = merge_all(run_batched(batch, trials, rng, workers,
-                                scratch=lambda: np.empty((2, FOLD_ROWS, d - 2))))
+                                scratch=lambda: np.empty((max(d, 3) + 3, rows))))
     count = int(acc[0, 0])
     if count < min_accepted:
         raise TooFewAcceptancesError(

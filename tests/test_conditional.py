@@ -22,8 +22,8 @@ from precisionlab import (
     sym_sqrt,
     uniform_sphere_many,
 )
-from precisionlab.conditional import _invert_2x2
-from precisionlab.parallel import batch_counts
+from precisionlab.conditional import _invert_2x2, _truncated_normals
+from precisionlab.parallel import FOLD_ROWS, batch_counts
 from precisionlab.sampler import random_subspace_basis
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
@@ -134,6 +134,21 @@ class TestAlphaMonteCarlo:
         assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z
         assert np.all((sd >= 0.6) & (sd <= 1.4)), z
 
+    @pytest.mark.parametrize("eps, trials, seeds", [(0.05, 10_000_000, range(8300, 8400)),
+                                                    (2.0, 100_000, range(8400, 8500))])
+    def test_standard_error_is_calibrated_at_more_widths(self, eps, trials, seeds):
+        # Seeds fixed once: the benchmark's slab (t < 1 rejection) and a wide one
+        # (t >= 1); each moment's z-scores over 100 runs should look N(0, 1).
+        exact = helpers.alpha_slab_exact_3d(TRIDIAGONAL, 0, 1, eps)
+        z = []
+        for seed in seeds:
+            est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, eps, trials, RngStream(seed), workers=2)
+            z.append(((est.values - exact) / est.standard_errors)[[0, 0, 1], [0, 1, 1]])
+        z = np.array(z)
+        sd = z.std(axis=0, ddof=1)
+        assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z.mean(axis=0)
+        assert np.all((sd >= 0.6) & (sd <= 1.4)), sd
+
     def test_acceptance_rate_reported(self):
         est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, epsilon=0.3, trials=100_000,
                                 rng=RngStream(54))
@@ -182,20 +197,50 @@ def _moments(y):
     return prods.mean(axis=1), prods.std(axis=1, ddof=1) / math.sqrt(len(y))
 
 
+def _slab_normals(gen, t, count, capacity):
+    """``count`` draws of N(0, 1) on (-t, t), by the sampler's rejection with its
+    round sizes: uniform proposals kept when u^2 < 2 Exp(1) for t < 1, else
+    normal proposals kept when |u| < t."""
+    p = math.erf(t / math.sqrt(2.0))
+    q = math.sqrt(math.pi / 2.0) * p / t if t < 1.0 else p
+    kept = np.empty(0)
+    while len(kept) < count:
+        size = min(capacity - len(kept), int(1.02 * (count - len(kept)) / q) + 64)
+        if t < 1.0:
+            u = gen.random(size) * (2.0 * t) - t
+            kept = np.concatenate([kept, u[u * u < 2.0 * gen.standard_exponential(size)]])
+        else:
+            u = gen.standard_normal(size)
+            kept = np.concatenate([kept, u[np.abs(u) < t]])
+    return kept[:count]
+
+
 def _triangular_route(a, i, j, epsilon, trials, rng):
-    """``alpha_monte_carlo``'s batch grid and child streams, with one ``z @ C.T``
-    product per batch (C the Cholesky factor of ``a`` with the pair ordered
-    last): the accepted pairs."""
+    """``alpha_monte_carlo``'s batch grid, stream layout and chunks, with one
+    ``z @ C.T`` product per chunk (C the Cholesky factor of ``a`` with the pair
+    ordered last): per batch one binomial count of the proposals that pass the
+    first screen; per chunk of those, z0 by the same rejection, the later
+    screens' normals, the whole screen, then the pair's normals.  The accepted
+    pairs."""
     d = a.shape[0]
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = np.linalg.cholesky(a[np.ix_(order, order)])
+    rows = FOLD_ROWS // d
+    t = epsilon / c[0, 0] if d > 2 else math.inf
     parts = []
     for index, count in enumerate(batch_counts(trials)):
-        stream = rng.child(index)
-        z = stream.child(0).gen.standard_normal((count, d - 2))
-        z = z[np.all(np.abs(z @ c[: d - 2, : d - 2].T) < epsilon, axis=1)]
-        z = np.hstack([z, stream.child(1).gen.standard_normal((len(z), 2))])
-        parts.append((z @ c.T)[:, d - 2 :])
+        gen = rng.child(index).gen
+        passed = gen.binomial(count, math.erf(t / math.sqrt(2.0))) if d > 2 else count
+        for start in range(0, passed, rows):
+            n = min(rows, passed - start)
+            z = np.empty((n, d - 2))
+            if d > 2:
+                z[:, 0] = _slab_normals(gen, t, n, rows)
+            for k in range(1, d - 2):
+                z[:, k] = gen.standard_normal(n)
+            z = z[np.all(np.abs(z @ c[: d - 2, : d - 2].T) < epsilon, axis=1)]
+            z = np.hstack([z, gen.standard_normal((2, len(z))).T])
+            parts.append((z @ c.T)[:, d - 2 :])
     return np.concatenate(parts)
 
 
@@ -225,6 +270,18 @@ class TestAlphaRoutes:
         assert est.accepted == len(y)
         assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
 
+    @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 0, 1, 3.0, 2_000_000),
+                                                      (5, 4, 0, 2.5, 400_000)])
+    def test_matches_matrix_product_route_in_wide_slabs(self, d, i, j, eps, trials):
+        # t = eps / c00 is 2.6 and 2.0: z0 comes from normal proposals, and at d = 3
+        # each batch passes about 62,000 rows, three chunks with a capped round.
+        a = helpers.random_spd(d, seed=5600 + d)
+        est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(59), workers=2)
+        y = _triangular_route(a, i, j, eps, trials, RngStream(59))
+        values = _moments(y)[0][[0, 1, 1, 2]].reshape(2, 2)
+        assert est.accepted == len(y)
+        assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+
     @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 1, 2, 0.3, 400_000),
                                                       (5, 4, 0, 1.0, 600_000),
                                                       (6, 2, 5, 1.2, 1_000_000)])
@@ -236,6 +293,43 @@ class TestAlphaRoutes:
         new = est.values[[0, 0, 1], [0, 1, 1]]
         new_se = est.standard_errors[[0, 0, 1], [0, 1, 1]]
         assert np.all(np.abs(new - means) < 4 * np.hypot(new_se, ses)), (new, means)
+
+
+class TestSlabDraws:
+    """The thinned sampler's draws against their laws."""
+
+    @pytest.mark.parametrize("t", [0.035, 0.5, 0.99, 1.0, 2.5])
+    def test_first_screen_normal_is_truncated_normal(self, t):
+        # Seed fixed once; 2e6 draws of z0 on (-t, t), 1e5 per call.
+        stats = pytest.importorskip("scipy.stats")
+        gen = RngStream(5400).gen
+        out, work = np.empty(100_000), np.empty((3, 100_000))
+        draws = []
+        for _ in range(20):
+            _truncated_normals(gen, t, len(out), out, work)
+            draws.append(out.copy())
+        draws = np.concatenate(draws)
+        assert np.all(np.abs(draws) <= t)
+        assert stats.kstest(draws, stats.truncnorm(-t, t).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 1, 2, 0.3, 400_000),
+                                                      (5, 4, 0, 1.0, 600_000),
+                                                      (6, 2, 5, 1.2, 1_000_000)])
+    def test_accepted_count_matches_symmetric_root_route(self, d, i, j, eps, trials):
+        # Seeds fixed once; a two-sample binomial z-test on the accepted counts.
+        a = helpers.random_spd(d, seed=5100 + d)
+        est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(5200 + d), workers=2)
+        other = len(_symmetric_root_route(a, i, j, eps, trials, RngStream(5300 + d)))
+        pooled = (est.accepted + other) / (2 * trials)
+        z = (est.accepted - other) / math.sqrt(2 * trials * pooled * (1.0 - pooled))
+        assert abs(z) < 4, (est.accepted, other)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_infinite_slab_accepts_every_proposal(self, d):
+        est = alpha_monte_carlo(helpers.random_spd(d, seed=5500 + d), 0, 1, math.inf, 100_000,
+                                RngStream(5500 + d))
+        assert est.accepted == est.proposals == 100_000
+        assert np.all(np.isfinite(est.values))
 
 
 class TestSectionCovariance:
