@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -76,6 +77,7 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
                     help="worker threads; results do not depend on this")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precisionlab",
@@ -373,8 +375,7 @@ def cmd_section(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolationError as exc:

@@ -4,11 +4,11 @@ Every sampler is stacked: it draws ``count`` objects in one call and returns
 them along a leading axis, so a single draw is a stack of one.  Covariance
 ensembles sample through :meth:`precisionlab.detection.Ensemble.sample_many`.
 
-Streams are counter-based (Philox) and keyed by ``(seed, stream_id)``, so a
-stream is reproducible bit for bit from its key alone and child streams for
-batch ``i`` can be derived without coordination.  Monte Carlo sweeps split
-work across a fixed batch grid and get results that are independent of the
-execution schedule (thread count, interleaving).
+Streams are SFC64 generators seeded by ``SeedSequence(seed, spawn_key=
+(stream_id,))``, so a stream is reproducible bit for bit from its key alone
+and child streams for batch ``i`` can be derived without coordination.
+Monte Carlo sweeps split work across a fixed batch grid and get results that
+are independent of the execution schedule (thread count, interleaving).
 
 A single ``RngStream`` is stateful and must not be shared across threads;
 hand each worker its own child.
@@ -36,9 +36,8 @@ def _splitmix64(z: int) -> int:
 class RngStream:
     """Reproducible random stream keyed by ``(seed, stream_id)``.
 
-    Equal keys reproduce the same value sequence bit for bit.  Distinct
-    ``stream_id`` values give statistically independent streams (the key is
-    fed straight into the Philox counter cipher).
+    Equal keys reproduce the same value sequence bit for bit; distinct
+    ``stream_id`` values give independent streams (``SeedSequence`` hashes the key).
     """
 
     __slots__ = ("seed", "stream_id", "gen")
@@ -46,8 +45,8 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        self.gen = np.random.Generator(np.random.SFC64(seq))
 
     def child(self, index: int) -> "RngStream":
         """Independent stream for batch ``index``; a pure function of the key."""

@@ -355,3 +355,19 @@ class TestModuleInvocation:
         assert result.returncode == 0
         doc = json.loads(result.stdout)
         assert doc["closed_form_bound"] == 0.5
+
+    def test_consecutive_calls_share_no_parser_state(self, capsys):
+        # One parser serves every call in a process; a flag given to one call
+        # must not reach the next.  Each call alone runs in a fresh interpreter.
+        base = ["tv", "--n", "1", "--d", "3", "--trials", "10000", "--seed", "0"]
+        calls = [base + ["--format", "json"], base]
+        together = []
+        for args in calls:
+            assert main(args) == 0
+            together.append(capsys.readouterr().out)
+        alone = [subprocess.run([sys.executable, "-m", "precisionlab", *args],
+                                capture_output=True, text=True, check=True).stdout
+                 for args in calls]
+        assert together == alone
+        assert json.loads(together[0])["seed"] == 0
+        assert together[1].split()[:2] == ["command", "tv"]  # human, not the first call's json

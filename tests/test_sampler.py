@@ -46,6 +46,25 @@ class TestRngStream:
         b = RngStream(7).child(3).gen.standard_normal(8)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,stream_id", [(0, 0), (5, 7), (7, (1 << 64) - 1)])
+    def test_generator_is_sfc64_keyed_by_seed_sequence(self, seed, stream_id):
+        bits = RngStream(seed, stream_id).gen.bit_generator
+        assert isinstance(bits, np.random.SFC64)
+        assert bits.seed_seq.entropy == seed
+        assert bits.seed_seq.spawn_key == (stream_id,)
+
+    @pytest.mark.parametrize("child,expected", [
+        (None, [0.5484188289858579, 0.4048309538417795,
+                0.8894887153539768, 0.4531516713047592]),
+        (0, [0.010387073242705824, 0.8212642178920799,
+             0.26130620211647226, 0.9479186666801395]),
+    ], ids=["root", "child-0"])
+    def test_known_answers(self, child, expected):
+        # Pinned values: a change of generator or of keying changes every
+        # seeded output, and must be announced along with these literals.
+        stream = RngStream(0) if child is None else RngStream(0).child(child)
+        assert [stream.gen.random() for _ in range(4)] == expected
+
     def test_sibling_streams_look_independent(self):
         root = RngStream(17)
         a = root.child(0).gen.standard_normal(200_000)
