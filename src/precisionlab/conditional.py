@@ -201,7 +201,7 @@ def alpha_monte_carlo(
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         gen, acc = stream.gen, np.zeros((3, 3))
         passed = gen.binomial(count, math.erf(t / math.sqrt(2.0))) if d > 2 else count
-        for start in range(0, passed, rows):  # rows 3 on hold z, (d, n), then the moments' work
+        for start in range(0, passed, rows):  # rows 3 on hold z, (d, n)
             n = min(rows, passed - start)
             z = work[3:].reshape(-1)[: d * n].reshape(d, n)
             if d > 2:  # the first screen |c00 z0| < epsilon passed; z0 spills into z1
@@ -217,11 +217,11 @@ def alpha_monte_carlo(
             np.multiply(*xy, out=work[1, :n])
             np.square(xy, out=xy)
             if n:  # rows 0-2 hold x^2, xy, y^2
-                acc = merge(acc, moments(work[:3, :n], work=work[None, 3:6]))
+                acc = merge(acc, moments(work[:3, :n]))
         return acc
 
     acc = merge_all(run_batched(batch, trials, rng, workers,
-                                scratch=lambda: np.empty((max(d, 3) + 3, rows))))
+                                scratch=lambda: np.empty((3 + d, rows))))
     count = int(acc[0, 0])
     if count < min_accepted:
         raise TooFewAcceptancesError(

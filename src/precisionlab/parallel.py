@@ -10,14 +10,13 @@ A Monte Carlo batch returns a moment accumulator, not its values: one column
 per statistic, rows count, mean, M2, (M3, M4 at order 4,) then row k of the
 co-moments C[i, (i + k) % cols] for k = 1 .. cols - 1 (M2 is k = 0).  It draws
 blocks of at most ``FOLD_ROWS`` values into scratch made once per thread per
-call and merges their moments pairwise (Chan, Golub & LeVeque 1979; Pébay
-2008, SAND2008-6212).  So memory is bounded whatever the number of trials.
+call, reduces each in place and merges their moments pairwise (Chan, Golub &
+LeVeque 1979; Pébay 2008, SAND2008-6212): memory is bounded whatever the trials.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -78,25 +77,24 @@ def run_batched(
     return out
 
 
-def moments(values: np.ndarray, order: int = 2, work: np.ndarray | None = None) -> np.ndarray:
-    """Accumulator of ``values`` (cols, count), with optional (order // 2, cols, >= count) ``work``.
+def moments(values: np.ndarray, order: int = 2) -> np.ndarray:
+    """Accumulator of ``values`` (cols, count), which it overwrites.
 
     Two passes, about the first value and then about the mean: constant
     input has exactly zero central moments.  Layout as in the module docstring."""
     cols, count = values.shape
-    work = np.empty((order // 2, cols, count)) if work is None else work
-    dev = np.subtract(values, values[:, :1], out=work[0, :, :count])
+    first = values[:, 0].copy()
+    dev = np.subtract(values, first[:, None], out=values)
     shift = dev.sum(axis=1) / count
     dev -= shift[:, None]
-    dots = {}
-    for a, b in itertools.combinations(range(cols), 2):  # einsum: no BLAS call, no temporary
-        dots[a, b] = dots[b, a] = np.einsum("k,k->", dev[a], dev[b])
-    cross = [[dots[a, (a + k) % cols] for a in range(cols)] for k in range(1, cols)]
-    sq = np.square(dev, out=work[-1, :, :count])
+    # off[k - 1][a] = C[a, a + k] (einsum: no BLAS, no temporary); row k wraps by symmetry.
+    off = [np.einsum("ij,ij->i", dev[: cols - k], dev[k:]) for k in range(1, cols)]
+    cross = [np.concatenate([off[k - 1], off[cols - k - 1]]) for k in range(1, cols)]
+    sq = np.square(dev, out=None if order == 4 else dev)  # order 4 still needs dev
     sums = [sq.sum(axis=1)]
     if order == 4:
         sums += [np.multiply(dev, sq, out=dev).sum(axis=1), np.square(sq, out=sq).sum(axis=1)]
-    return np.array([np.full(cols, float(count)), values[:, 0] + shift, *sums, *cross])
+    return np.array([np.full(cols, float(count)), first + shift, *sums, *cross])
 
 
 def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,17 +14,17 @@ form, the moment-ratio form, the Monte Carlo estimate of the exact integral,
 and the full inequality chain with standard errors, plus an adaptive-Simpson
 quadrature oracle for the n = 1 case (a plain chi-square pair).
 
-The Monte Carlo estimators need only log det G, drawn by the Bartlett
-decomposition in ceil(n/2) variates per trial (``wishart.logdet_samples``)
-in chunks into per-thread scratch; batches return only moments and
-co-moments, and the middle link's batch-means error reads each batch's own.
+The Monte Carlo estimators draw det G by the Bartlett decomposition, ceil(n/2)
+gamma variates per trial, in chunks into per-thread scratch; batches return
+only moments and co-moments, and the middle link's batch-means error reads
+each batch's own.  The forward ratio x is the gammas multiplied out.
 
-The forward TV estimate regresses y = |1 - x| on the controls x and x^2,
-whose exact means are 1 and E x^2 = R^2 (d-1)!/(d-1-n)!, R = Z(n,d-1)/Z(n,d)
-(Glasserman, *Monte Carlo Methods in Financial Engineering*, section 4.1).
-It is half of mean(y) - beta . (mean(x) - 1, mean(x^2) - E x^2), with beta
-the minimum-norm solution of S_XX beta = S_Xy over co-moments pooled in
-batch order, and its error is half of sqrt(RSS / (N - 3) / N).  The reverse
+The forward TV estimate regresses y = |1 - x| on the controls x^t, t = 1/2, 1,
+3/2, 2, at their exact means E x^t = R^t E det^(t/2), R = Z(n,d-1)/Z(n,d), E x = 1
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, section 4.1): half
+of mean(y) - beta . (mean(x^t) - E x^t), beta the minimum-norm solution of
+S_XX beta = S_Xy over co-moments pooled in batch order, with error half of
+sqrt(RSS / (N - 5) / N), about 0.23x the plain error at (3, 30).  The reverse
 estimate keeps the plain mean: its x^2 has infinite variance when d <= n + 3.
 """
 
@@ -39,12 +39,14 @@ import numpy as np
 from .errors import InvalidParamsError, InvariantViolationError
 from .parallel import FOLD_ROWS, comoments, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
-from .wishart import WishartParams, det_moments_exact, log_normalizer, logdet_samples
+from .wishart import (WishartParams, det_moments_exact, log_det_moment, log_normalizer,
+                      logdet_samples, sqrt_det_samples)
 
 # perfbench/tracing.py patches these names on this module; they must stay importable.
 from .wishart import logdet_trace_many, wishart_samples  # noqa: F401
 
 MIN_MC_TRIALS = 10_000
+CONTROL_POWERS = (1.0, 0.5, 1.5, 2.0)  # the forward controls x^t, x first
 # Slack multiplier for stochastic inequality links: a one-sided three-sigma
 # band keeps the false-alarm rate far below 1%.
 SE_SLACK = 3.0
@@ -84,7 +86,7 @@ class McEstimate(NamedTuple):
 def _ratio_moments(
     n: int, d: int, trials: int, rng: RngStream, workers: int, reverse: bool
 ) -> list[np.ndarray]:
-    """Per-batch accumulators of (x, x^2, |1 - x|), reverse |1 - x|, over ratio values x.
+    """Per-batch accumulators of (x, x^1/2, x^3/2, x^2, |1 - x|), reverse |1 - x|, over ratios x.
 
     The mean absolute deviation of x from 1 is twice the TV.
     Forward: x = det(G)^(1/2) * Z(n,d-1)/Z(n,d) under G ~ W(n, d-1).
@@ -100,36 +102,39 @@ def _ratio_moments(
         # E[det^-1] diverges under W(d-1, d), so the ratio has infinite variance.
         raise InvalidParamsError(f"reverse estimator needs n < d-1, got n={n}, d={d}")
     params = WishartParams(n, d if reverse else d - 1)
-    sign = -1.0 if reverse else 1.0
     log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
-    terms, cols = (n + 1) // 2, 1 if reverse else 3  # rows logdet_samples draws into; statistics
+    terms, cols = (n + 1) // 2, 1 if reverse else len(CONTROL_POWERS) + 1  # draw rows; statistics
 
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         acc = np.zeros((cols + 2, cols))
         for start in range(0, count, FOLD_ROWS):
             rows = min(FOLD_ROWS, count - start)
-            x = logdet_samples(params, rows, stream, out=work[: terms * rows].reshape(terms, rows))
-            x *= 0.5 * sign
-            x += sign * log_z_ratio
-            values = work[: cols * rows].reshape(cols, rows)  # its row 0 is x
-            np.exp(x, out=x)
-            if not reverse:
-                np.square(x, out=values[1])
+            draws = work[: terms * rows].reshape(terms, rows)
+            values = work[: cols * rows].reshape(cols, rows)  # row 0 is x, row 0 of the draws
+            if reverse:
+                x = logdet_samples(params, rows, stream, out=draws)
+                np.exp(np.subtract(np.multiply(x, -0.5, out=x), log_z_ratio, out=x), out=x)
+            else:
+                x = sqrt_det_samples(params, rows, stream, log_z_ratio, out=draws)
+                root = np.sqrt(x, out=values[1])
+                np.multiply(x, root, out=values[2])
+                np.square(x, out=values[3])
             np.abs(np.subtract(1.0, x, out=values[-1]), out=values[-1])
-            acc = merge(acc, moments(values, 2, work[-cols * rows :].reshape(1, cols, rows)))
+            acc = merge(acc, moments(values))
         return acc
 
     return run_batched(batch, trials, rng, workers,
-                       scratch=lambda: np.empty((max(cols, terms) + cols) * FOLD_ROWS))
+                       scratch=lambda: np.empty(max(cols, terms) * FOLD_ROWS))
 
 
 def _tv_estimate(acc: np.ndarray, n: int, d: int) -> McEstimate:
-    """Half the mean of |1 - x| (last column) regressed on the other columns at exact means."""
+    """Half the mean of |1 - x| (last column) regressed on the controls x^t at exact means."""
     count, mean, c, k = acc[0, 0], acc[1], comoments(acc), acc.shape[1] - 1  # k controls
     beta = np.linalg.lstsq(c[:k, :k], c[:k, k], rcond=None)[0]  # minimum norm: 0 if singular
-    second = math.exp(2.0 * (log_normalizer((n, d - 1)) - log_normalizer((n, d)))
-                      + math.log(det_moments_exact(WishartParams(n, d - 1))[0]))
-    estimate = mean[k] - beta @ (mean[:k] - (1.0, second)[:k])
+    log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+    exact = [1.0 if t == 1.0 else math.exp(t * log_z_ratio + log_det_moment((n, d - 1), 0.5 * t))
+             for t in CONTROL_POWERS[:k]]
+    estimate = mean[k] - beta @ (mean[:k] - exact)
     se = math.sqrt(max(c[k, k] - c[k, :k] @ beta, 0.0) / (count - 1.0 - k)) / math.sqrt(count)
     return McEstimate(0.5 * float(estimate), 0.5 * se)
 

@@ -4,9 +4,9 @@ W(n, p) here is the law of the Gram matrix of n independent standard
 Gaussian vectors in dimension p.  The module provides Gram construction,
 the log density on the cone interior (with respect to Lebesgue measure on
 the n(n+1)/2 free upper-triangle coordinates), the log normalizer, exact
-determinant moments, sampling by the defining Gram construction, and
-sampling of the log-determinant (Bartlett, in ceil(n/2) draws) and of the
-trace (one chi-square) each on its own.
+determinant moments (and their logs at real order), sampling by the defining
+Gram construction, and sampling of the log or root determinant (Bartlett, in
+ceil(n/2) draws) and of the trace (one chi-square) each on its own.
 
 Everything is computed in log space with ``math.lgamma``; the normalizer
 overflows double-precision factorials otherwise.
@@ -95,6 +95,14 @@ def det_moments_exact(params) -> tuple[int, int]:
     return mean, mean * (second - mean)
 
 
+def log_det_moment(params, s: float) -> float:
+    """log E det W(n, p)^s = n s log 2 + sum_{i<n} [lgamma((p-i)/2 + s) - lgamma((p-i)/2)]
+    for s > -(p-n+1)/2 (Muirhead, *Aspects of Multivariate Statistical Theory*, Thm 3.2.15)."""
+    n, p = _validated(params)
+    return n * s * math.log(2.0) + sum(math.lgamma(0.5 * (p - i) + s) - math.lgamma(0.5 * (p - i))
+                                       for i in range(n))
+
+
 def det_moments(params) -> DetMoments:
     """Mean and variance of det W(n, p) as floats (inf past the float range)."""
     mean, variance = det_moments_exact(params)
@@ -114,30 +122,44 @@ def wishart_samples(params, count: int, rng: RngStream, normals=None) -> np.ndar
     return x @ x.transpose(0, 2, 1)
 
 
-def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
-    """``count`` independent draws of log det W(n, p), shape (count,).
+def _bartlett_gammas(params, count: int, rng: RngStream, out=None):
+    """The ceil(n/2) rows of ``count`` gamma draws behind det W(n, p), their shapes, and n // 2.
 
-    Bartlett decomposition: det W(n, p) is the product of n independent
-    chi-squares with p, p-1, ..., p-n+1 degrees of freedom (Anderson, *An
-    Introduction to Multivariate Statistical Analysis*, section 7.2).  By
-    Legendre's duplication formula chi2_q * chi2_{q-1} ~ Gamma(q-1)^2, so one
-    gamma draw replaces each consecutive pair and odd n ends on chi2_{p-n+1}
-    = 2 Gamma((p-n+1)/2): ceil(n/2) draws replace the n*p normals, Gram
-    product and slogdet.  The draws go into ``out`` when given, a C-contiguous
-    (ceil(n/2), count) array, and the result is its row 0.
-    ``tests/test_wishart.py`` pins it to ``wishart_samples``.
-    """
+    det W(n, p) is a product of independent chi2_p, ..., chi2_{p-n+1} (Bartlett; Anderson, *An
+    Introduction to Multivariate Statistical Analysis*, 7.2), and by Legendre's duplication
+    formula chi2_q * chi2_{q-1} ~ Gamma(q-1)^2: det = prod_pairs G^2 * 2 G_odd, with
+    G_odd ~ Gamma((p-n+1)/2) for odd n.  The rows go into ``out``, C-contiguous, when given."""
     n, p = _validated(params, count)
-    pairs = n // 2
     shapes = [p - i - 1.0 for i in range(0, n - 1, 2)] + [0.5 * (p - n + 1)] * (n % 2)
     terms = np.empty((len(shapes), count)) if out is None else out
     for row, shape in zip(terms, shapes):
         rng.gen.standard_gamma(shape, out=row)
+    return terms, shapes, n // 2
+
+
+def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
+    """``count`` draws of log det W(n, p), row 0 of ``out`` when given; ``tests/test_wishart.py``
+    pins it to ``wishart_samples``."""
+    terms, _, pairs = _bartlett_gammas(params, count, rng, out)
     terms[pairs:] *= 2.0  # the chi-square
     np.log(terms, out=terms)
     terms[:pairs] *= 2.0
     for row in terms[1:]:
         terms[0] += row
+    return terms[0]
+
+
+def sqrt_det_samples(params, count: int, rng: RngStream, log_scale: float, out=None) -> np.ndarray:
+    """``count`` draws of exp(log_scale) * det W(n, p)^(1/2), row 0 of ``out`` when given: the
+    draws of ``logdet_samples`` multiplied out as prod_pairs G * sqrt(2 G_odd), no log or exp.
+    Each gamma is divided by its shape, which joins the scale, so nothing over- or underflows."""
+    terms, shapes, pairs = _bartlett_gammas(params, count, rng, out)
+    terms /= np.array(shapes)[:, None]
+    np.sqrt(terms[pairs:], out=terms[pairs:])
+    for row in terms[1:]:
+        terms[0] *= row
+    log_scale += sum(map(math.log, shapes[:pairs]))
+    terms[0] *= math.exp(log_scale + sum(0.5 * math.log(2.0 * a) for a in shapes[pairs:]))
     return terms[0]
 
 

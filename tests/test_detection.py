@@ -156,6 +156,24 @@ class TestTwoWayGame:
         with pytest.raises(InvalidParamsError):
             run_two_way_game(3, 30, constant_detector(), 5_000, RngStream(0))
 
+    @pytest.mark.parametrize("n,d,seeds", [(3, 30, range(7000, 7040)),
+                                           (1, 4, range(7100, 7140)),
+                                           (5, 12, range(7200, 7240))])
+    def test_trace_rule_standard_error_is_calibrated(self, n, d, seeds):
+        # The trace of n standard vectors in rank p is chi2_{np}, so the rule
+        # "trace >= t", t = n(d - 1/2), wins with P(chi2_{nd} >= t) on the full
+        # rank ensemble and P(chi2_{n(d-1)} < t) on the deficient one.
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        t = n * (d - 0.5)
+        exact = 0.5 * (chi2.sf(t, n * d) + chi2.cdf(t, n * (d - 1)))
+        z = []
+        for seed in seeds:
+            report = run_two_way_game(n, d, make_detector("trace", n, d), 100_000,
+                                      RngStream(seed))
+            z.append((report.joint_success - exact) / report.joint_standard_error)
+        assert abs(np.mean(z)) <= 0.6, z  # the seed-sweep gate of test_tvbounds
+        assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
+
     def test_worker_independence(self):
         a = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=1)
         b = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=4)

@@ -203,7 +203,8 @@ def test_merged_accumulators_match_two_pass_reference(seed, sizes, shift, scale)
     # Uneven splits, parts of size 1 included, merged in order, against numpy's two passes.
     x = scale * (shift + np.random.default_rng(seed).standard_normal((2, sum(sizes) + 1)))
     sizes = sizes + [1]
-    acc = merge_all([moments(p, order=4) for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
+    acc = merge_all([moments(p.copy(), order=4)
+                     for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
     count = x.shape[1]
     mean = x.mean(axis=1)
     fourth = ((x - mean[:, None]) ** 4).mean(axis=1)
@@ -222,7 +223,7 @@ def test_merged_comoments_match_numpy_covariance(seed, sizes, cols, order):
     z = np.random.default_rng(seed).standard_normal((cols, sum(sizes) + 1))
     x = np.cumsum(z, axis=0)
     sizes = sizes + [1]
-    acc = merge_all([moments(p, order) for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
+    acc = merge_all([moments(p.copy(), order) for p in np.split(x, np.cumsum(sizes)[:-1], axis=1)])
     block = comoments(acc)
     assert acc.shape == (cols + order, cols)
     assert np.array_equal(np.diagonal(block), acc[2])

@@ -45,6 +45,16 @@ def assert_calibrated(z):
     assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
 
 
+def ratio_power_moment(n, d, t):
+    """E x^t = R^t 2^(nt/2) Gamma_n((d-1+t)/2) / Gamma_n((d-1)/2), R = Z(n,d-1)/Z(n,d),
+    the multivariate gamma taken from scipy (Muirhead, Thm 3.2.15)."""
+    special = pytest.importorskip("scipy.special")
+    log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+    return math.exp(t * log_ratio + 0.5 * n * t * math.log(2.0)
+                    + special.multigammaln(0.5 * (d - 1 + t), n)
+                    - special.multigammaln(0.5 * (d - 1), n))
+
+
 class TestClosedFormBound:
     def test_smallest_nontrivial_case(self):
         assert tv_closed_form_bound(1, 3) == 0.5
@@ -189,15 +199,14 @@ class TestChain:
         assert mid <= bound + 3 * report.sqrt_moment_ratio_se
 
     def test_degenerate_constant_values_collapse_to_zero(self, monkeypatch):
-        # log det = -2 log(Z(n,d-1)/Z(n,d)) makes every density ratio exactly 1.
+        # Every forward density ratio exactly 1.
         n, d = 2, 7
-        logdet = -2.0 * (log_normalizer((n, d - 1)) - log_normalizer((n, d)))
 
-        def constant_logdet(params, count, rng, out):
-            out[0] = logdet
+        def constant_ratios(params, count, rng, log_scale, out):
+            out[0] = 1.0
             return out[0]
 
-        monkeypatch.setattr(tvbounds, "logdet_samples", constant_logdet)
+        monkeypatch.setattr(tvbounds, "sqrt_det_samples", constant_ratios)
         report = tv_report(n, d, 100_000, RngStream(83), workers=2)
         assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
                 report.sqrt_moment_ratio_se) == (0.0, 0.0, 0.0, 0.0)
@@ -219,23 +228,23 @@ class TestChain:
 
 
 class TestControlVariate:
-    """The forward estimator regresses |1 - x| on the controls (x, x^2)."""
+    """The forward estimator regresses |1 - x| on the controls (x, x^1/2, x^3/2, x^2)."""
 
     def test_matches_least_squares_fit(self):
-        # Reference: ordinary least squares of y on (1, x, x^2), read at the
-        # controls' exact means; the residual variance gives the error.
+        # Reference: ordinary least squares of y on (1, x^1/2, x, x^3/2, x^2),
+        # read at the controls' exact means; the residual variance gives the error.
         n, d, count = 2, 7, 50_000
         log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
         x = np.exp(0.5 * logdet_samples((n, d - 1), count, RngStream(88)) + log_ratio)
         y = np.abs(1.0 - x)
-        values = np.array([x, x * x, y])
+        values = np.array([x, np.sqrt(x), x * np.sqrt(x), x * x, y])  # the accumulator's order
         acc = merge_all([moments(part) for part in np.array_split(values, 7, axis=1)])
         got = tvbounds._tv_estimate(acc, n, d)
-        design = np.column_stack([np.ones(count), x, x * x])
+        design = np.column_stack([np.ones(count), np.sqrt(x), x, x * np.sqrt(x), x * x])
         coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        expected = 0.5 * coef @ (1.0, 1.0, ratio_second_moment(n, d))
+        expected = 0.5 * coef @ (1.0, *(ratio_power_moment(n, d, t) for t in (0.5, 1.0, 1.5, 2.0)))
         assert got.estimate == pytest.approx(expected, rel=1e-9)
-        assert got.standard_error == pytest.approx(0.5 * math.sqrt(rss[0] / (count - 3) / count),
+        assert got.standard_error == pytest.approx(0.5 * math.sqrt(rss[0] / (count - 5) / count),
                                                    rel=1e-6)
 
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 7), (2, 30)])
@@ -247,6 +256,27 @@ class TestControlVariate:
             est = tv_exact_mc(n, d, 100_000, RngStream(seed))
             z.append((est.estimate - exact) / est.standard_error)
         assert_calibrated(z)
+
+    @pytest.mark.parametrize("n,d,seeds", [(1, 2, range(30000, 30100)),
+                                           (2, 7, range(31000, 31100)),
+                                           (2, 30, range(32000, 32100))])
+    def test_standard_error_is_calibrated_on_own_seeds(self, n, d, seeds):
+        # One seed range per case, so the three sweeps are independent checks.
+        exact = tv_chi2_quadrature(1, 2) if n == 1 else tv_two_exact(d)
+        z = []
+        for seed in seeds:
+            est = tv_exact_mc(n, d, 100_000, RngStream(seed))
+            z.append((est.estimate - exact) / est.standard_error)
+        assert_calibrated(z)
+
+    def test_controls_cut_the_standard_error(self):
+        # At tv 3/30/1e6 --seed 41 the four controls leave under 0.3 of the
+        # plain error, half the sd of |1 - x| over sqrt(N) from the same draws
+        # (the two controls x, x^2 left 0.40).
+        acc = merge_all(tvbounds._ratio_moments(3, 30, 1_000_000, RngStream(41), 1, False))
+        count = acc[0, 0]
+        plain = 0.5 * math.sqrt(acc[2, -1] / (count - 1.0) / count)
+        assert tvbounds._tv_estimate(acc, 3, 30).standard_error <= 0.3 * plain
 
     @pytest.mark.parametrize("n,d", [(3, 30), (1, 10), (2, 7)])
     def test_middle_link_is_calibrated_against_closed_form(self, n, d):

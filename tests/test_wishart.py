@@ -17,7 +17,8 @@ from precisionlab import (
     log_normalizer,
     wishart_samples,
 )
-from precisionlab.wishart import logdet_samples, logdet_trace_many, trace_samples
+from precisionlab.wishart import (log_det_moment, logdet_samples, logdet_trace_many,
+                                  sqrt_det_samples, trace_samples)
 
 
 class TestGram:
@@ -149,6 +150,21 @@ class TestDetMoments:
         with pytest.raises(InvalidParamsError):
             det_moments((5, 4))
 
+    @pytest.mark.parametrize("n,p", [(1, 1), (1, 5), (2, 7), (3, 29), (5, 12), (9, 30)])
+    def test_log_moment_matches_integer_moments(self, n, p):
+        mean, variance = det_moments_exact((n, p))
+        for s, exact in ((1, mean), (2, variance + mean * mean)):
+            assert abs(log_det_moment((n, p), s) - math.log(exact)) <= 1e-13, (n, p, s)
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 7), (3, 29), (9, 30), (299, 299)])
+    def test_log_moment_matches_multivariate_gamma(self, n, p):
+        # E det^s = 2^(ns) Gamma_n(p/2 + s) / Gamma_n(p/2) (Muirhead, Thm 3.2.15).
+        special = pytest.importorskip("scipy.special")
+        for s in (0.25, 0.5, 0.75):
+            expected = (n * s * math.log(2.0) + special.multigammaln(0.5 * p + s, n)
+                        - special.multigammaln(0.5 * p, n))
+            assert log_det_moment((n, p), s) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
 
 class TestWishartSampling:
     def test_determinism(self):
@@ -247,6 +263,23 @@ class TestBartlettRoute:
         for stat, value in zip((helpers.mean_se, helpers.var_se), exact):
             estimate, se = stat(draws)
             assert abs(estimate - value) < 5 * se, (stat.__name__, n, p)
+
+    # At (299, 300) the log route itself rounds: its 150 logs sum to about
+    # 1,700 in order, which moves exp(logdet / 2) by up to 1.1e-12 over these
+    # draws (on 2,000 of them the product is within 1.4e-13 of a math.fsum of
+    # the same logs).
+    @pytest.mark.parametrize("n,d,rtol", [(1, 2, 1e-12), (3, 30, 1e-12), (9, 30, 1e-12),
+                                          (299, 300, 2e-12)])
+    def test_sqrt_det_route_matches_exp_of_logdet(self, n, d, rtol):
+        # The forward TV ratio both ways from one stream.  At (299, 300) the
+        # product of the unscaled factors is about e^703 and reaches e^708.4 on
+        # these draws, next to the edge of the double range (e^709.8); pytest
+        # makes an overflow's RuntimeWarning an error.
+        log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+        product = sqrt_det_samples((n, d - 1), 20_000, RngStream(13), log_ratio)
+        reference = np.exp(0.5 * logdet_samples((n, d - 1), 20_000, RngStream(13)) + log_ratio)
+        assert product.shape == (20_000,)
+        assert np.max(np.abs(product / reference - 1.0)) <= rtol
 
     @pytest.mark.parametrize("p", [2, 30, 59])
     def test_one_row_is_log_chisquare_bitwise(self, p):
