@@ -149,18 +149,22 @@ def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
     return terms[0]
 
 
-def sqrt_det_samples(params, count: int, rng: RngStream, log_scale: float, out=None) -> np.ndarray:
-    """``count`` draws of exp(log_scale) * det W(n, p)^(1/2), row 0 of ``out`` when given: the
-    draws of ``logdet_samples`` multiplied out as prod_pairs G * sqrt(2 G_odd), no log or exp.
-    Each gamma is divided by its shape, which joins the scale, so nothing over- or underflows."""
+def sqrt_det_factors(params, count: int, rng: RngStream, log_scale: float, out=None):
+    """Independent rows (a, b) of ``count`` draws with a * b = exp(log_scale) * det W(n, p)^(1/2):
+    the K = ceil(n/2) rows of ``logdet_samples``'s draws multiplied out as prod_pairs G *
+    sqrt(2 G_odd), no log or exp, the first ceil(K/2) into a (row 0 of ``out`` when given), the
+    rest into b (row ceil(K/2), or ones when K = 1).  Each gamma is scaled by 1/shape, which joins
+    the scale on a, so nothing over- or underflows."""
     terms, shapes, pairs = _bartlett_gammas(params, count, rng, out)
-    terms /= np.array(shapes)[:, None]
+    terms *= 1.0 / np.array(shapes)[:, None]
     np.sqrt(terms[pairs:], out=terms[pairs:])
-    for row in terms[1:]:
-        terms[0] *= row
+    half = (len(terms) + 1) // 2
+    for lo, hi in ((0, half), (half, len(terms))):
+        for row in terms[lo + 1:hi]:
+            terms[lo] *= row
     log_scale += sum(map(math.log, shapes[:pairs]))
     terms[0] *= math.exp(log_scale + sum(0.5 * math.log(2.0 * a) for a in shapes[pairs:]))
-    return terms[0]
+    return terms[0], terms[half] if half < len(terms) else np.broadcast_to(1.0, count)
 
 
 def trace_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:

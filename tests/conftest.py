@@ -1,8 +1,12 @@
+import os
 import sys
 from pathlib import Path
 
 # Make the shared oracle helpers importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))
+# Child interpreters (`python -m precisionlab`, `python -c`) import the working tree too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 try:
     from hypothesis import settings

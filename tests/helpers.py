@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 
 def cofactor_det(m) -> float:
@@ -144,3 +145,36 @@ def moment_gaps(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
         (x, se_x), (y, se_y) = stat(a), stat(b)
         gaps.append(abs(x - y) / math.hypot(se_x, se_y))
     return gaps[0], gaps[1]
+
+
+def _log_wishart_normalizer(n: int, p: int) -> float:
+    return (0.5 * p * n * math.log(2.0) + 0.25 * n * (n - 1) * math.log(math.pi)
+            + sum(math.lgamma(0.5 * (p + 1 - i)) for i in range(1, n + 1)))
+
+
+def tv_wishart_quadrature(n: int, d: int) -> float:
+    """TV(W(n, d-1), W(n, d)) for n = 3 or 4, by quadrature over one factor of the density ratio.
+
+    Under W(n, d-1) the ratio is x = R G h(U), R = Z(n,d-1)/Z(n,d), with independent
+    G ~ Gamma(d-2) and h(U) = sqrt(2 U), U ~ Gamma((d-3)/2) for n = 3, or h(U) = U,
+    U ~ Gamma(d-4) for n = 4 (Bartlett, with Legendre's duplication formula).  For
+    G ~ Gamma(k), E|1 - b G| = b k - 1 + 2 [P(k, 1/b) - b k P(k+1, 1/b)], P the regularized
+    lower incomplete gamma, so TV = (1/2) E_U |1 - x| is one integral over U (scipy).
+    """
+    if n not in (3, 4) or d < n + 1:
+        raise ValueError(f"need n in (3, 4) and d > n, got n={n}, d={d}")
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    k, r = d - 2.0, math.exp(_log_wishart_normalizer(n, d - 1) - _log_wishart_normalizer(n, d))
+    shape, h = ((d - 3) / 2, lambda u: math.sqrt(2.0 * u)) if n == 3 else (d - 4.0, lambda u: u)
+
+    def mean_abs_dev(b: float) -> float:
+        c = 1.0 / b
+        return b * k - 1.0 + 2.0 * (special.gammainc(k, c) - b * k * special.gammainc(k + 1.0, c))
+
+    def integrand(u: float) -> float:
+        log_pdf = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
+        return mean_abs_dev(r * h(u)) * math.exp(log_pdf)
+
+    value, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return 0.5 * value

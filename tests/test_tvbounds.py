@@ -17,7 +17,7 @@ from precisionlab import (
 import precisionlab.tvbounds as tvbounds
 from precisionlab.parallel import merge_all, moments
 from precisionlab.tvbounds import validate_chain
-from precisionlab.wishart import log_normalizer, logdet_samples
+from precisionlab.wishart import log_normalizer, logdet_samples, sqrt_det_factors
 
 
 def tv_two_exact(d):
@@ -53,6 +53,13 @@ def ratio_power_moment(n, d, t):
     return math.exp(t * log_ratio + 0.5 * n * t * math.log(2.0)
                     + special.multigammaln(0.5 * (d - 1 + t), n)
                     - special.multigammaln(0.5 * (d - 1), n))
+
+
+def exact_tv(n, d):
+    """The TV oracle for the sweeps: quadrature at n = 1, 3, 4, closed form at n = 2."""
+    if n == 1:
+        return tv_chi2_quadrature(d - 1, d)
+    return tv_two_exact(d) if n == 2 else helpers.tv_wishart_quadrature(n, d)
 
 
 class TestClosedFormBound:
@@ -139,6 +146,18 @@ class TestTwoSampleOracle:
         assert tv_two_exact(30) == pytest.approx(0.0751690, abs=5e-8)
 
 
+class TestThreeFourOracle:
+    def test_known_values(self):
+        # Computed independently by the same integral over the odd factor's law.
+        assert helpers.tv_wishart_quadrature(3, 9) == pytest.approx(0.1898528876262602, rel=1e-12)
+        assert helpers.tv_wishart_quadrature(3, 30) == pytest.approx(0.09289192170495522,
+                                                                      rel=1e-12)
+
+    def test_rejects_other_sample_counts(self):
+        with pytest.raises(ValueError):
+            helpers.tv_wishart_quadrature(2, 9)
+
+
 class TestExactMc:
     def test_single_sample_two_dims_matches_quadrature(self):
         est = tv_exact_mc(1, 2, 100_000, RngStream(70))
@@ -199,17 +218,18 @@ class TestChain:
         assert mid <= bound + 3 * report.sqrt_moment_ratio_se
 
     def test_degenerate_constant_values_collapse_to_zero(self, monkeypatch):
-        # Every forward density ratio exactly 1.
-        n, d = 2, 7
+        # Both factors, and so every forward density ratio, exactly 1: at n = 2 one trial per
+        # row, at n = 3 blocks of cross-paired trials.
 
-        def constant_ratios(params, count, rng, log_scale, out):
-            out[0] = 1.0
-            return out[0]
+        def constant_factors(params, count, rng, log_scale, out):
+            out[:] = 1.0
+            return out[0], out[-1]
 
-        monkeypatch.setattr(tvbounds, "sqrt_det_samples", constant_ratios)
-        report = tv_report(n, d, 100_000, RngStream(83), workers=2)
-        assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
-                report.sqrt_moment_ratio_se) == (0.0, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(tvbounds, "sqrt_det_factors", constant_factors)
+        for n, d in ((2, 7), (3, 30)):
+            report = tv_report(n, d, 100_000, RngStream(83), workers=2)
+            assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
+                    report.sqrt_moment_ratio_se) == (0.0, 0.0, 0.0, 0.0), (n, d)
 
     def test_report_fields_and_invariants(self):
         report = tv_report(2, 7, 50_000, RngStream(81))
@@ -259,23 +279,37 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("n,d,seeds", [(1, 2, range(30000, 30100)),
                                            (2, 7, range(31000, 31100)),
-                                           (2, 30, range(32000, 32100))])
+                                           (2, 30, range(32000, 32100)),
+                                           (3, 9, range(33000, 33100)),
+                                           (3, 30, range(34000, 34100)),
+                                           (4, 30, range(35000, 35100))])
     def test_standard_error_is_calibrated_on_own_seeds(self, n, d, seeds):
-        # One seed range per case, so the three sweeps are independent checks.
-        exact = tv_chi2_quadrature(1, 2) if n == 1 else tv_two_exact(d)
+        # One seed range per case, so the sweeps are independent checks; from n = 3 on the
+        # rows are blocks of cross-paired trials.
+        exact = exact_tv(n, d)
         z = []
         for seed in seeds:
             est = tv_exact_mc(n, d, 100_000, RngStream(seed))
             z.append((est.estimate - exact) / est.standard_error)
         assert_calibrated(z)
 
-    def test_controls_cut_the_standard_error(self):
+    def test_controls_cut_the_standard_error(self, monkeypatch):
         # At tv 3/30/1e6 --seed 41 the four controls leave under 0.3 of the
         # plain error, half the sd of |1 - x| over sqrt(N) from the same draws
-        # (the two controls x, x^2 left 0.40).
+        # (the two controls x, x^2 left 0.40).  The accumulator holds block
+        # means, so the draws' |1 - x| is recorded at the factor seam.
+        ratios = []
+
+        def recording_factors(*args, **kwargs):
+            a, b = sqrt_det_factors(*args, **kwargs)
+            ratios.append(np.abs(1.0 - a * b))
+            return a, b
+
+        monkeypatch.setattr(tvbounds, "sqrt_det_factors", recording_factors)
         acc = merge_all(tvbounds._ratio_moments(3, 30, 1_000_000, RngStream(41), 1, False))
-        count = acc[0, 0]
-        plain = 0.5 * math.sqrt(acc[2, -1] / (count - 1.0) / count)
+        y = np.concatenate(ratios)
+        assert len(y) == 1_000_000
+        plain = 0.5 * np.std(y, ddof=1) / math.sqrt(len(y))
         assert tvbounds._tv_estimate(acc, 3, 30).standard_error <= 0.3 * plain
 
     @pytest.mark.parametrize("n,d", [(3, 30), (1, 10), (2, 7)])
@@ -287,3 +321,46 @@ class TestControlVariate:
             report = tv_report(n, d, 100_000, RngStream(seed))
             z.append((report.sqrt_moment_ratio_bound - exact) / report.sqrt_moment_ratio_se)
         assert_calibrated(z)
+
+
+class TestCrossPairs:
+    """From n = 3 on, the forward rows are blocks of BLOCK trials whose two Bartlett factors are
+    cross-paired: every |1 - a_i b_j| of the block, and controls mean(a^t) mean(b^t)."""
+
+    def _reference(self, a, b, block):
+        # Column by column in plain numpy: the blocks are a.reshape(block, -1)'s columns,
+        # then one short block of the remaining trials.
+        full = len(a) - len(a) % block
+        parts = [(a[:full].reshape(block, -1)[:, m], b[:full].reshape(block, -1)[:, m])
+                 for m in range(full // block)] + [(a[full:], b[full:])] * (full < len(a))
+        return np.array([[np.mean(pa ** t) * np.mean(pb ** t) for t in tvbounds.CONTROL_POWERS]
+                         + [np.mean(np.abs(1.0 - np.outer(pa, pb)))] for pa, pb in parts]).T
+
+    @pytest.mark.parametrize("count,block", [(16, 4), (19, 4), (3, 4), (13, 1), (8001, 4),
+                                             (9, 8)])
+    def test_block_rows_match_a_direct_computation(self, count, block):
+        gen = np.random.default_rng(count)
+        a, b = gen.gamma(28.0, 1 / 28.0, count), np.sqrt(gen.gamma(13.5, 1 / 13.5, count))
+        out = np.full((len(tvbounds.CONTROL_POWERS) + 1, -(-count // block)), np.nan)
+        tvbounds._cross_pairs(a.copy(), b.copy(), block, out, np.empty(count + count // block))
+        np.testing.assert_allclose(out, self._reference(a, b, block), rtol=1e-13, atol=1e-15)
+
+    def test_pairs_cut_the_standard_error(self):
+        # 0.6 of the single-trial rows' error at tv 3/30/1e6 --seed 41 (1.628e-05).
+        assert tv_exact_mc(3, 30, 10**6, RngStream(41)).standard_error <= 0.6 * 1.628e-05
+
+    @pytest.mark.parametrize("n,d,seed,estimate,error", [
+        (1, 2, 90, 0.3024229745226102, 0.0001268862692238618),
+        (1, 2, 91, 0.30252053214849567, 0.00012701091456224724),
+        (2, 7, 90, 0.1753781293664395, 9.556773466196244e-05),
+        (2, 7, 91, 0.17564706168099664, 9.470408042458131e-05)])
+    def test_one_factor_keeps_single_trial_rows(self, n, d, seed, estimate, error):
+        # At n <= 2 the ratio has one Bartlett factor, so rows stay single trials: the
+        # values of the single-trial estimator at 1e5 trials.
+        got = tv_exact_mc(n, d, 100_000, RngStream(seed))
+        assert got.estimate == pytest.approx(estimate, rel=1e-12)
+        assert got.standard_error == pytest.approx(error, rel=1e-12)
+
+    def test_report_counts_trials_not_blocks(self):
+        report = tv_report(3, 12, 20_003, RngStream(84))
+        assert report.samples_used == 20_003

@@ -18,7 +18,7 @@ from precisionlab import (
     wishart_samples,
 )
 from precisionlab.wishart import (log_det_moment, logdet_samples, logdet_trace_many,
-                                  sqrt_det_samples, trace_samples)
+                                  sqrt_det_factors, trace_samples)
 
 
 class TestGram:
@@ -271,15 +271,15 @@ class TestBartlettRoute:
     @pytest.mark.parametrize("n,d,rtol", [(1, 2, 1e-12), (3, 30, 1e-12), (9, 30, 1e-12),
                                           (299, 300, 2e-12)])
     def test_sqrt_det_route_matches_exp_of_logdet(self, n, d, rtol):
-        # The forward TV ratio both ways from one stream.  At (299, 300) the
-        # product of the unscaled factors is about e^703 and reaches e^708.4 on
-        # these draws, next to the edge of the double range (e^709.8); pytest
-        # makes an overflow's RuntimeWarning an error.
+        # The forward TV ratio both ways from one stream, as the product a * b of its two
+        # factors.  At (299, 300) the product of the unscaled gammas is about e^703 and
+        # reaches e^708.4 on these draws, next to the edge of the double range (e^709.8);
+        # pytest makes an overflow's RuntimeWarning an error.
         log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
-        product = sqrt_det_samples((n, d - 1), 20_000, RngStream(13), log_ratio)
+        a, b = sqrt_det_factors((n, d - 1), 20_000, RngStream(13), log_ratio)
         reference = np.exp(0.5 * logdet_samples((n, d - 1), 20_000, RngStream(13)) + log_ratio)
-        assert product.shape == (20_000,)
-        assert np.max(np.abs(product / reference - 1.0)) <= rtol
+        assert a.shape == b.shape == (20_000,)
+        assert np.max(np.abs(a * b / reference - 1.0)) <= rtol
 
     @pytest.mark.parametrize("p", [2, 30, 59])
     def test_one_row_is_log_chisquare_bitwise(self, p):
