@@ -18,9 +18,8 @@ The Monte Carlo estimators draw det G by the Bartlett decomposition, ceil(n/2)
 gamma variates per trial, in chunks into per-thread scratch; batches return
 only moments and co-moments, and the middle link's batch-means error reads
 each batch's own.  The forward ratio x = a b is the gammas multiplied out into
-two independent factors; from n = 3 on, a row is a block of 4 trials, whose
-16 cross-pairs a_i b_j give 16 ratios (Hoeffding 1948: the a-b interaction's
-share of the variance falls about 4-fold).
+two independent factors; from n = 3 on a row is a block of 4 trials and their
+16 cross-pairs a_i b_j, which cut the a-b interaction's variance 4-fold (Hoeffding).
 
 The forward TV estimate regresses y = |1 - x| on the controls x^t, t = 1/2, 1,
 3/2, 2, at their exact means E x^t = R^t E det^(t/2), R = Z(n,d-1)/Z(n,d), E x = 1
@@ -108,9 +107,9 @@ def _ratio_moments(
     params = WishartParams(n, d if reverse else d - 1)
     log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
     terms, cols = (n + 1) // 2, 1 if reverse else len(CONTROL_POWERS) + 1  # draw rows; statistics
-    block = BLOCK if n > 2 else 1
-    # Forward scratch: the draws, _cross_pairs' tmp, then the rows (one trial a row: on the draws)
-    blocks_at = 0 if block == 1 else (terms + 1) * FOLD_ROWS + FOLD_ROWS // block
+    block = BLOCK if n > 2 else 1  # forward scratch: a, b, _cross_pairs' tmp, then the blocks
+    tmp_at, cells = min(terms, 2) * FOLD_ROWS, -(-FOLD_ROWS // block)
+    blocks_at = tmp_at + FOLD_ROWS + cells
 
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         acc = np.zeros((cols + 2, cols))
@@ -124,54 +123,37 @@ def _ratio_moments(
             else:
                 values = work[blocks_at: blocks_at + cols * -(-rows // block)].reshape(cols, -1)
                 a, b = sqrt_det_factors(params, rows, stream, log_z_ratio, out=draws)
-                _cross_pairs(a, b, block, values, work[terms * FOLD_ROWS: blocks_at])
+                _cross_pairs(a, b, block, values, work[tmp_at: blocks_at])
             acc = merge(acc, moments(values))
         return acc
 
-    size = terms * FOLD_ROWS if reverse else blocks_at + cols * -(-FOLD_ROWS // block)
+    size = terms * FOLD_ROWS if reverse else max(terms * FOLD_ROWS, blocks_at + cols * cells)
     return run_batched(batch, trials, rng, workers, scratch=lambda: np.empty(size))
 
 
 def _cross_pairs(a: np.ndarray, b: np.ndarray, block: int, out: np.ndarray, tmp: np.ndarray):
-    """Fill ``out`` (cols, ceil(len(a) / block)) from independent factor rows a, b of x = a * b,
-    a column per block of ``block`` trials, the last one short if need be: the means of a^t times
-    those of b^t, t in CONTROL_POWERS, unbiased for E x^t, and the mean of |1 - a_i b_j| over
-    the block^2 pairs.  ``tmp`` is scratch of len(a) + len(a) // block."""
+    """Fill ``out`` (cols, ceil(len(a) / block)), a column per block of ``block`` <= 4 trials (the
+    last may be short), from independent factor rows of x = a b > 0: mean(a^t) mean(b^t), t in
+    CONTROL_POWERS, then the mean |1 - a_i b_j|.  ``tmp`` holds len(a) + len(a) // block floats."""
     full = len(a) - len(a) % block
     if full < len(a):  # the short last block, in floats
         ta, tb, pairs = a[full:].tolist(), b[full:].tolist(), (len(a) - full) ** 2
-        out[:-1, -1] = [sum(u**t for u in ta) * sum(v**t for v in tb) / pairs
-                        for t in CONTROL_POWERS]
-        out[-1, -1] = sum(abs(1.0 - u * v) for u in ta for v in tb) / pairs
-    if block == 1:  # x itself (b = 1 when n <= 2)
-        x = np.multiply(a, b, out=out[0])
-        np.multiply(x, np.sqrt(x, out=out[1]), out=out[2])
-        np.square(x, out=out[3])
-        return np.abs(np.subtract(1.0, x, out=out[4]), out=out[4])
+        means = [sum(u**t for u in ta) * sum(v**t for v in tb) / pairs for t in CONTROL_POWERS]
+        out[:, -1] = means + [sum(abs(1.0 - u * v) for u in ta for v in tb) / pairs]
     buf, out = tmp[full:][: full // block], out[:, : full // block]
     a, b, tmp = (v[:full].reshape(block, -1) for v in (a, b, tmp))  # a block is a column
-    for row, power in zip(out, _powers(b, tmp)):
-        np.add.reduce(power, 0, out=row)
-    for row, power in zip(out, _powers(a, tmp)):
-        row *= np.add.reduce(power, 0, out=buf)
-    y = out[-1]
-    y[:] = 0.0
-    for a_i in a:  # sum_j max(a_i b_j, 1) = a_i sum_j max(b_j, 1 / a_i), as a's shapes exceed 1
-        np.add.reduce(np.maximum(b, np.divide(1.0, a_i, out=buf), out=tmp), 0, out=buf)
-        y += np.multiply(buf, a_i, out=buf)
-    out *= 1.0 / (block * block)
-    y *= 2.0  # |1 - x| = 2 max(x, 1) - x - 1
-    y -= out[0]
-    y -= 1.0
-
-
-def _powers(z: np.ndarray, tmp: np.ndarray):
-    """z^t for t in CONTROL_POWERS in turn, each but z itself in ``tmp``."""
-    yield z
-    root = np.sqrt(z, out=tmp)
-    yield root
-    yield np.multiply(root, z, out=tmp)
-    yield np.square(z, out=tmp)
+    s = np.divide(1.0, a, out=out[:block])  # sum_j max(a_i b_j, 1) = a_i sum_j max(b_j, 1 / a_i)
+    for s_i in s:
+        np.add.reduce(np.maximum(b, s_i, out=tmp), 0, out=s_i)
+    y = np.einsum("ij,ij->j", s, a, out=out[-1])
+    out[:-1] = 1.0 / (block * block)
+    for z in (a, b):  # out[k] = mean(a^t) mean(b^t), t in CONTROL_POWERS order
+        out[0] *= np.add.reduce(z, 0, out=buf)
+        out[1] *= np.add.reduce(np.sqrt(z, out=tmp), 0, out=buf)
+        out[2] *= np.einsum("ij,ij->j", z, tmp, out=buf)
+        out[3] *= np.einsum("ij,ij->j", z, z, out=buf)
+    y *= 2.0 / (block * block)  # |1 - x| = 2 max(x, 1) - x - 1
+    y -= out[0] + 1.0
 
 
 def _tv_estimate(acc: np.ndarray, n: int, d: int) -> McEstimate:

@@ -150,21 +150,22 @@ def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
 
 
 def sqrt_det_factors(params, count: int, rng: RngStream, log_scale: float, out=None):
-    """Independent rows (a, b) of ``count`` draws with a * b = exp(log_scale) * det W(n, p)^(1/2):
-    the K = ceil(n/2) rows of ``logdet_samples``'s draws multiplied out as prod_pairs G *
-    sqrt(2 G_odd), no log or exp, the first ceil(K/2) into a (row 0 of ``out`` when given), the
-    rest into b (row ceil(K/2), or ones when K = 1).  Each gamma is scaled by 1/shape, which joins
-    the scale on a, so nothing over- or underflows."""
+    """Independent rows (a, b), rows 0 and 1 of ``out`` when given, of ``count`` draws with a * b =
+    exp(log_scale) det W(n, p)^(1/2): ``logdet_samples``'s K = ceil(n/2) rows as prod_pairs G *
+    sqrt(2 G_odd), no log or exp, the first ceil(K/2) into a, the rest into b (ones when K = 1).
+    A gamma multiplied into another is first divided by its mean: nothing over- or underflows."""
     terms, shapes, pairs = _bartlett_gammas(params, count, rng, out)
-    terms *= 1.0 / np.array(shapes)[:, None]
     np.sqrt(terms[pairs:], out=terms[pairs:])
-    half = (len(terms) + 1) // 2
+    means = shapes[:pairs] + [math.sqrt(a) for a in shapes[pairs:]]  # rough means of the rows
+    half, log_scale = (len(terms) + 1) // 2, log_scale + 0.5 * math.log(2.0) * (len(terms) - pairs)
     for lo, hi in ((0, half), (half, len(terms))):
-        for row in terms[lo + 1:hi]:
-            terms[lo] *= row
-    log_scale += sum(map(math.log, shapes[:pairs]))
-    terms[0] *= math.exp(log_scale + sum(0.5 * math.log(2.0 * a) for a in shapes[pairs:]))
-    return terms[0], terms[half] if half < len(terms) else np.broadcast_to(1.0, count)
+        for row, mean in zip(terms[lo + 1:hi], means[lo + 1:hi]):
+            terms[lo] *= np.multiply(row, 1.0 / mean, out=row)
+            log_scale += math.log(mean)
+    terms[0] *= math.exp(log_scale)
+    if half > 1:  # b to row 1
+        terms[1] = terms[half]
+    return terms[0], terms[1] if len(terms) > 1 else np.broadcast_to(1.0, count)
 
 
 def trace_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:

@@ -146,12 +146,39 @@ class TestTwoSampleOracle:
         assert tv_two_exact(30) == pytest.approx(0.0751690, abs=5e-8)
 
 
+def tv_wishart_other_route(n, d):
+    """TV(W(n, d-1), W(n, d)) for n = 3 or 4 with the roles of the two factors swapped from
+    ``helpers.tv_wishart_quadrature``: quadrature over G ~ Gamma(d-2) of the closed-form mean over
+    U ~ Gamma(s), x = c U^h with c = R G sqrt(2) (n = 3: h = 1/2, s = (d-3)/2) or c = R G (n = 4:
+    h = 1, s = d-4).  E|1 - c U^h| = c m - 1 + 2 [P(s, u) - c m P(s+h, u)], u = c^(-1/h),
+    m = Gamma(s+h)/Gamma(s); R from scipy's multigammaln."""
+    special, integrate = pytest.importorskip("scipy.special"), pytest.importorskip("scipy.integrate")
+    s, h = ((d - 3) / 2, 0.5) if n == 3 else (d - 4.0, 1.0)
+    log_r = (-0.5 * n * math.log(2.0) + special.multigammaln(0.5 * (d - 1), n)
+             - special.multigammaln(0.5 * d, n) + 0.5 * math.log(2.0) * (n == 3))
+    m, k = math.exp(math.lgamma(s + h) - math.lgamma(s)), d - 2.0
+
+    def integrand(g):
+        c = math.exp(log_r) * g
+        u = c ** (-1.0 / h)
+        inner = c * m - 1.0 + 2.0 * (special.gammainc(s, u) - c * m * special.gammainc(s + h, u))
+        return inner * math.exp((k - 1.0) * math.log(g) - g - math.lgamma(k))
+
+    return 0.5 * integrate.quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
 class TestThreeFourOracle:
     def test_known_values(self):
-        # Computed independently by the same integral over the odd factor's law.
+        # Pinned from the quadrature itself; test_other_route_agrees checks the integral.
         assert helpers.tv_wishart_quadrature(3, 9) == pytest.approx(0.1898528876262602, rel=1e-12)
         assert helpers.tv_wishart_quadrature(3, 30) == pytest.approx(0.09289192170495522,
                                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(3, 9), (3, 30), (4, 30)])
+    def test_other_route_agrees(self, n, d):
+        # The closed form taken over the other factor and the integral over this one.
+        assert helpers.tv_wishart_quadrature(n, d) == pytest.approx(tv_wishart_other_route(n, d),
+                                                                     rel=1e-9)
 
     def test_rejects_other_sample_counts(self):
         with pytest.raises(ValueError):
@@ -337,7 +364,7 @@ class TestCrossPairs:
                          + [np.mean(np.abs(1.0 - np.outer(pa, pb)))] for pa, pb in parts]).T
 
     @pytest.mark.parametrize("count,block", [(16, 4), (19, 4), (3, 4), (13, 1), (8001, 4),
-                                             (9, 8)])
+                                             (10, 3)])
     def test_block_rows_match_a_direct_computation(self, count, block):
         gen = np.random.default_rng(count)
         a, b = gen.gamma(28.0, 1 / 28.0, count), np.sqrt(gen.gamma(13.5, 1 / 13.5, count))
@@ -364,3 +391,15 @@ class TestCrossPairs:
     def test_report_counts_trials_not_blocks(self):
         report = tv_report(3, 12, 20_003, RngStream(84))
         assert report.samples_used == 20_003
+
+    @pytest.mark.parametrize("n,d", [(2, 7), (3, 9), (5, 30), (8, 30)])
+    def test_several_chunks_a_batch(self, n, d, monkeypatch):
+        # Batches of 3,125 trials in chunks of 1,001 that reuse the scratch: from n = 3 each chunk
+        # ends in a short block, from n = 5 b moves to row 1, and at n = 8 the block rows lie in
+        # dead draw rows.  Same trials, seed and workers both ways.
+        whole = tv_exact_mc(n, d, 100_000, RngStream(85))
+        monkeypatch.setattr(tvbounds, "FOLD_ROWS", 1001)
+        chunked = tv_exact_mc(n, d, 100_000, RngStream(85))
+        assert chunked != whole
+        gap = abs(chunked.estimate - whole.estimate)
+        assert gap <= 4.0 * math.hypot(chunked.standard_error, whole.standard_error)
