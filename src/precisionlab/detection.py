@@ -13,15 +13,16 @@ laws; the likelihood-ratio detector attains that cap.
 A detector maps a (count, n, d) stack of sample batches to a guess in
 {0, 1, 2} per batch; one batch is a stack of one.  Every shipped detector
 except the constant one reads a single statistic of each batch Gram matrix,
-its log-determinant or its trace, through thresholds (the pseudo-random
+its log-determinant or its trace, through ascending cuts (the pseudo-random
 baseline hashes the trace), so batches with equal Gram matrices always
 receive equal guesses.  Harnesses split trials over fixed batch grids,
 making reports independent of worker count.  They score a detector that
 carries its ``statistic`` and ``rule`` on direct draws of that statistic
-alone (``wishart.logdet_samples`` or ``wishart.trace_samples``), since the
-full-rank, random- and fixed-deficiency ensembles have Gram law W(n, p),
-p = d, d-k or d-1.  Rule-less detectors (constant, custom, symmetrized),
-the explicit ensemble and n > p sample batches.
+alone, since the full-rank, random- and fixed-deficiency ensembles have Gram
+law W(n, p), p = d, d-k or d-1, and count a cut detector's draws at or past
+each cut: of the trace, or of the root determinant (no log) scaled to 1 at
+the first cut.  Rule-less detectors (constant, custom, symmetrized), the
+explicit ensemble and n > p sample batches.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .sampler import (
     standard_batches,
 )
 from .tvbounds import MIN_MC_TRIALS, tv_closed_form_bound
-from .wishart import gram_many, log_normalizer, logdet_samples, logdet_trace_many, trace_samples
+from .wishart import gram_many, log_normalizer, logdet_trace_many, sqrt_det_sampler, trace_samples
 
 # Norm of the in-plane component below which a direction counts as
 # orthogonal to the reference plane.
@@ -59,12 +60,16 @@ class Detector:
     array of rank guesses in {0, 1, 2}; one batch is a stack of one.  It
     must be safe to call concurrently on distinct stacks.  A Gram-statistic
     detector also carries its ``statistic`` ("logdet" or "trace") and ``rule(values)``.
+    A cut detector also carries ascending ``cuts`` and the ``labels`` of the len(cuts) + 1
+    intervals they make; its rule guesses a value's interval label, a value on a cut going up.
     """
 
     identifier: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     statistic: str | None = None
     rule: Callable[[np.ndarray], np.ndarray] | None = None
+    cuts: tuple[float, ...] = ()
+    labels: tuple[int, ...] = ()
 
 
 def evaluate_batches(detector: Detector, vectors: np.ndarray) -> np.ndarray:
@@ -158,30 +163,16 @@ class Ensemble:
 # Detectors
 
 
-def _gram_detector(
-    identifier: str, statistic: str, rule: Callable[[np.ndarray], np.ndarray]
-) -> Detector:
-    """Detector applying ``rule`` to the Gram ``statistic`` ("logdet" or "trace") of each batch."""
-    column = ("logdet", "trace").index(statistic)
+def _gram_detector(identifier: str, statistic: str, rule=None, cuts=(), labels=()) -> Detector:
+    """Detector applying ``rule`` to the Gram ``statistic`` ("logdet" or "trace") of each batch;
+    by default the rule of the ascending ``cuts`` and interval ``labels``."""
+    column, table = ("logdet", "trace").index(statistic), np.array(labels, dtype=np.int64)
+    rule = rule or (lambda values: table[np.searchsorted(cuts, values, side="right")])
 
     def evaluate(vectors: np.ndarray) -> np.ndarray:
         return rule(logdet_trace_many(gram_many(vectors))[column])
 
-    return Detector(identifier, evaluate, statistic, rule)
-
-
-def _threshold_detector(identifier: str, statistic: str, threshold: float, k: int) -> Detector:
-    """Guess full rank iff the Gram ``statistic`` ("logdet" or "trace") reaches ``threshold``.
-
-    Ties break toward the full-rank guess; otherwise guess the section rank
-    of the k-deficient ensemble.
-    """
-    deficient_label = max(2 - k, 0)
-
-    def rule(values: np.ndarray) -> np.ndarray:
-        return np.where(values >= threshold, 2, deficient_label)
-
-    return _gram_detector(identifier, statistic, rule)
+    return Detector(identifier, evaluate, statistic, rule, cuts, labels)
 
 
 def lr_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -198,7 +189,7 @@ def lr_detector(n: int, d: int, k: int = 1) -> Detector:
     if not 1 <= n <= d - k:
         raise InvalidParamsError(f"need 1 <= n <= d-k for both densities, got n={n}")
     threshold = (2.0 / k) * (log_normalizer((n, d)) - log_normalizer((n, d - k)))
-    return _threshold_detector("lr", "logdet", threshold, k)
+    return _gram_detector("lr", "logdet", cuts=(threshold,), labels=(max(2 - k, 0), 2))
 
 
 def trace_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -206,7 +197,7 @@ def trace_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
     n, d, k = int(n), int(d), int(k)
     if not 1 <= k < d:
         raise InvalidParamsError(f"need 1 <= k < d, got k={k}, d={d}")
-    return _threshold_detector("trace", "trace", n * (d - 0.5 * k), k)
+    return _gram_detector("trace", "trace", cuts=(n * (d - 0.5 * k),), labels=(max(2 - k, 0), 2))
 
 
 def det_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
@@ -221,7 +212,7 @@ def det_threshold_detector(n: int, d: int, k: int = 1) -> Detector:
         return math.lgamma(p + 1) - math.lgamma(p - n + 1)
 
     threshold = 0.5 * (log_mean_det(d) + log_mean_det(d - k))
-    return _threshold_detector("det", "logdet", threshold, k)
+    return _gram_detector("det", "logdet", cuts=(threshold,), labels=(max(2 - k, 0), 2))
 
 
 def constant_detector(guess: int = 2) -> Detector:
@@ -258,11 +249,7 @@ def bayes_three_way_detector(n: int, d: int) -> Detector:
     if not 1 <= n <= d - 2:
         raise InvalidParamsError(f"need 1 <= n <= d-2 for all three densities, got n={n}")
     lo, hi = (2.0 * (log_normalizer((n, p)) - log_normalizer((n, p - 1))) for p in (d - 1, d))
-
-    def rule(logdet: np.ndarray) -> np.ndarray:
-        return np.add(logdet >= lo, logdet >= hi, dtype=np.int64)
-
-    return _gram_detector("bayes3", "logdet", rule)
+    return _gram_detector("bayes3", "logdet", cuts=(lo, hi), labels=(0, 1, 2))
 
 
 DETECTOR_FACTORIES: dict[str, Callable[[int, int, int], Detector]] = {
@@ -390,9 +377,16 @@ def _success(
 ) -> EnsembleResult:
     label = ensemble.correct_label()
     p = ensemble.gram_dof()
-    direct = detector.rule is not None and p is not None and n <= p  # draw the statistic alone
-    logdet = detector.statistic == "logdet"
-    draw, rows = (logdet_samples, (n + 1) // 2) if logdet else (trace_samples, 1)
+    logdet, cuts = detector.statistic == "logdet", detector.cuts
+    # Draw the statistic alone: the trace, or the root determinant counted at a rule's cuts.
+    direct = detector.rule is not None and p is not None and n <= p and (bool(cuts) or not logdet)
+    rows = (n + 1) // 2 if logdet else 1
+    wins = [i for i, guess in enumerate(detector.labels) if guess == label]  # intervals
+    draw = lambda size, stream, out: trace_samples((n, p), size, stream, out=out)
+    if direct and logdet:  # count a * b = exp((logdet - c_0) / 2) past exp((c - c_0) / 2)
+        factors = sqrt_det_sampler((n, p), -0.5 * cuts[0])
+        cuts = [math.exp(0.5 * (c - cuts[0])) for c in cuts]
+        draw = lambda size, stream, out: np.multiply(*factors(size, stream, out), out=out[0])
 
     def batch(count: int, stream: RngStream, work: np.ndarray | None = None) -> int:
         if not direct:
@@ -401,8 +395,10 @@ def _success(
         hits = 0
         for start in range(0, count, FOLD_ROWS):
             size = min(FOLD_ROWS, count - start)
-            values = draw((n, p), size, stream, out=work[: rows * size].reshape(rows, size))
-            hits += int(np.count_nonzero(detector.rule(values) == label))
+            values = draw(size, stream, work[: rows * size].reshape(rows, size))
+            past = [size] + [np.count_nonzero(values >= c) for c in cuts] + [0]  # at or past
+            hits += int(sum(past[i] - past[i + 1] for i in wins) if cuts else  # or a hash rule
+                        np.count_nonzero(detector.rule(values) == label))
         return hits
 
     scratch = (lambda: np.empty(rows * FOLD_ROWS)) if direct else None

@@ -42,7 +42,7 @@ from .errors import InvalidParamsError, InvariantViolationError
 from .parallel import FOLD_ROWS, comoments, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 from .wishart import (WishartParams, det_moments_exact, log_det_moment, log_normalizer,
-                      logdet_samples, sqrt_det_factors)
+                      logdet_samples, sqrt_det_sampler)
 
 # perfbench/tracing.py patches these names on this module; they must stay importable.
 from .wishart import logdet_trace_many, wishart_samples  # noqa: F401
@@ -106,6 +106,7 @@ def _ratio_moments(
         raise InvalidParamsError(f"reverse estimator needs n < d-1, got n={n}, d={d}")
     params = WishartParams(n, d if reverse else d - 1)
     log_z_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
+    factors = sqrt_det_sampler(params, log_z_ratio)  # forward: x = a * b
     terms, cols = (n + 1) // 2, 1 if reverse else len(CONTROL_POWERS) + 1  # draw rows; statistics
     block = BLOCK if n > 2 else 1  # forward scratch: a, b, _cross_pairs' tmp, then the blocks
     tmp_at, cells = min(terms, 2) * FOLD_ROWS, -(-FOLD_ROWS // block)
@@ -122,7 +123,7 @@ def _ratio_moments(
                 values = np.abs(np.subtract(1.0, x, out=x), out=x)[None]
             else:
                 values = work[blocks_at: blocks_at + cols * -(-rows // block)].reshape(cols, -1)
-                a, b = sqrt_det_factors(params, rows, stream, log_z_ratio, out=draws)
+                a, b = factors(rows, stream, out=draws)
                 _cross_pairs(a, b, block, values, work[tmp_at: blocks_at])
             acc = merge(acc, moments(values))
         return acc

@@ -122,25 +122,30 @@ def wishart_samples(params, count: int, rng: RngStream, normals=None) -> np.ndar
     return x @ x.transpose(0, 2, 1)
 
 
-def _bartlett_gammas(params, count: int, rng: RngStream, out=None):
-    """The ceil(n/2) rows of ``count`` gamma draws behind det W(n, p), their shapes, and n // 2.
+def _bartlett_shapes(params, count: int = 1) -> tuple[list[float], int]:
+    """The shapes of the ceil(n/2) gamma rows behind det W(n, p), pairs first, and n // 2 pairs.
 
     det W(n, p) is a product of independent chi2_p, ..., chi2_{p-n+1} (Bartlett; Anderson, *An
     Introduction to Multivariate Statistical Analysis*, 7.2), and by Legendre's duplication
     formula chi2_q * chi2_{q-1} ~ Gamma(q-1)^2: det = prod_pairs G^2 * 2 G_odd, with
-    G_odd ~ Gamma((p-n+1)/2) for odd n.  The rows go into ``out``, C-contiguous, when given."""
+    G_odd ~ Gamma((p-n+1)/2) for odd n."""
     n, p = _validated(params, count)
-    shapes = [p - i - 1.0 for i in range(0, n - 1, 2)] + [0.5 * (p - n + 1)] * (n % 2)
+    return [p - i - 1.0 for i in range(0, n - 1, 2)] + [0.5 * (p - n + 1)] * (n % 2), n // 2
+
+
+def _bartlett_gammas(shapes, count: int, rng: RngStream, out=None) -> np.ndarray:
+    """A row of ``count`` gamma draws per shape, into ``out``, C-contiguous, when given."""
     terms = np.empty((len(shapes), count)) if out is None else out
     for row, shape in zip(terms, shapes):
         rng.gen.standard_gamma(shape, out=row)
-    return terms, shapes, n // 2
+    return terms
 
 
 def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
     """``count`` draws of log det W(n, p), row 0 of ``out`` when given; ``tests/test_wishart.py``
     pins it to ``wishart_samples``."""
-    terms, _, pairs = _bartlett_gammas(params, count, rng, out)
+    shapes, pairs = _bartlett_shapes(params, count)
+    terms = _bartlett_gammas(shapes, count, rng, out)
     terms[pairs:] *= 2.0  # the chi-square
     np.log(terms, out=terms)
     terms[:pairs] *= 2.0
@@ -149,23 +154,32 @@ def logdet_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:
     return terms[0]
 
 
-def sqrt_det_factors(params, count: int, rng: RngStream, log_scale: float, out=None):
-    """Independent rows (a, b), rows 0 and 1 of ``out`` when given, of ``count`` draws with a * b =
-    exp(log_scale) det W(n, p)^(1/2): ``logdet_samples``'s K = ceil(n/2) rows as prod_pairs G *
+def sqrt_det_sampler(params, log_scale: float):
+    """The function (count, rng, out=None) -> (a, b), its constants computed once, of independent
+    rows (rows 0 and 1 of ``out`` when given) of ``count`` draws with a * b = exp(log_scale)
+    det W(n, p)^(1/2): ``logdet_samples``'s K = ceil(n/2) rows as prod_pairs G *
     sqrt(2 G_odd), no log or exp, the first ceil(K/2) into a, the rest into b (ones when K = 1).
     A gamma multiplied into another is first divided by its mean: nothing over- or underflows."""
-    terms, shapes, pairs = _bartlett_gammas(params, count, rng, out)
-    np.sqrt(terms[pairs:], out=terms[pairs:])
+    shapes, pairs = _bartlett_shapes(params)
     means = shapes[:pairs] + [math.sqrt(a) for a in shapes[pairs:]]  # rough means of the rows
-    half, log_scale = (len(terms) + 1) // 2, log_scale + 0.5 * math.log(2.0) * (len(terms) - pairs)
-    for lo, hi in ((0, half), (half, len(terms))):
-        for row, mean in zip(terms[lo + 1:hi], means[lo + 1:hi]):
-            terms[lo] *= np.multiply(row, 1.0 / mean, out=row)
-            log_scale += math.log(mean)
-    terms[0] *= math.exp(log_scale)
-    if half > 1:  # b to row 1
-        terms[1] = terms[half]
-    return terms[0], terms[1] if len(terms) > 1 else np.broadcast_to(1.0, count)
+    rows, half = len(shapes), (len(shapes) + 1) // 2
+    steps = [(lo, i, means[i]) for lo, hi in ((0, half), (half, rows)) for i in range(lo + 1, hi)]
+    log_scale += 0.5 * math.log(2.0) * (rows - pairs)
+    for *_, mean in steps:
+        log_scale += math.log(mean)
+    scale = math.exp(log_scale)
+
+    def draw(count: int, rng: RngStream, out=None):
+        terms = _bartlett_gammas(shapes, count, rng, out)
+        np.sqrt(terms[pairs:], out=terms[pairs:])
+        for lo, i, mean in steps:
+            terms[lo] *= np.multiply(terms[i], 1.0 / mean, out=terms[i])
+        terms[0] *= scale
+        if half > 1:  # b to row 1
+            terms[1] = terms[half]
+        return terms[0], terms[1] if len(terms) > 1 else np.broadcast_to(1.0, count)
+
+    return draw
 
 
 def trace_samples(params, count: int, rng: RngStream, out=None) -> np.ndarray:

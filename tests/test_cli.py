@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from precisionlab import det_moments, tv_chi2_quadrature
@@ -164,6 +165,22 @@ class TestMomentsCommand:
         assert "float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n,d,seeds", [(3, 9, range(5000, 5040)),
+                                           (2, 7, range(5100, 5140)),
+                                           (1, 30, range(5200, 5240))])
+    def test_standard_errors_are_calibrated(self, tmp_path, n, d, seeds):
+        # Against the exact det W(n, d) moments, with the seed-sweep gate of test_tvbounds.
+        z = {"mean": [], "variance": []}
+        for seed in seeds:
+            code, doc = run_json(["moments", "--n", str(n), "--d", str(d), "--trials", "100000",
+                                  "--seed", str(seed)], tmp_path)
+            assert code == 0
+            for key, values in z.items():
+                values.append((doc[f"{key}_mc"] - doc[f"{key}_formula"]) / doc[f"{key}_se"])
+        for key, values in z.items():
+            assert abs(np.mean(values)) <= 0.6, (key, values)
+            assert 0.6 <= np.std(values, ddof=1) <= 1.4, (key, values)
+
     @pytest.mark.parametrize("trials", ["1", "9999"])
     def test_trial_floor_exit_code(self, trials, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -175,6 +192,28 @@ class TestMomentsCommand:
 
 
 class TestGameCommand:
+    TWO_WAY = {"success_rank2": 0.55429, "se_rank2": 0.0015717906854921873,
+               "success_rank1": 0.53287, "se_rank1": 0.001577718489148175,
+               "joint_success": 0.54358, "joint_se": 0.001113521619682348}
+    THREE_WAY = {"success_rank2": 0.53242, "se_rank2": 0.0015778115971179828,
+                 "success_rank1": 0.05298, "se_rank1": 0.0007083298638346403,
+                 "success_rank0": 0.51757, "se_rank0": 0.0015801623179281298,
+                 "joint_success": 0.3676566666666667, "joint_se": 0.0007808921950777413}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_benchmark_calls_keep_their_numbers(self, tmp_path, workers):
+        # The three game calls of the benchmark at --seed 3 and 1e5 trials; the fixed-direction
+        # deficient Gram law is the random one's, so it prints the two-way numbers.
+        calls = ((["two-way", "--n", "3", "--d", "30", "--detector", "lr"], self.TWO_WAY),
+                 (["three-way", "--n", "2", "--d", "60", "--detector", "bayes3"], self.THREE_WAY),
+                 (["fixed-theta", "--n", "3", "--d", "30", "--detector", "lr", "--theta-seed",
+                   "3"], self.TWO_WAY))
+        for argv, expected in calls:
+            code, doc = run_json(["game", "--mode", *argv, "--trials", "100000", "--seed", "3",
+                                  "--workers", workers], tmp_path)
+            assert code == 0
+            assert {key: doc[key] for key in expected} == expected, argv[0]
+
     def test_two_way_respects_ceiling(self, tmp_path):
         code, doc = run_json(
             ["game", "--mode", "two-way", "--n", "3", "--d", "30", "--detector", "lr",

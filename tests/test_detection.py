@@ -35,6 +35,7 @@ from precisionlab import (
 )
 from precisionlab import detection
 from precisionlab.detection import _vote
+from precisionlab.parallel import batch_counts
 from precisionlab.wishart import gram_many, logdet_samples, logdet_trace_many, trace_samples
 
 
@@ -174,6 +175,19 @@ class TestTwoWayGame:
         assert abs(np.mean(z)) <= 0.6, z  # the seed-sweep gate of test_tvbounds
         assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
 
+    @pytest.mark.parametrize("n,d,seeds", [(3, 30, range(7300, 7340)),
+                                           (3, 9, range(7400, 7440)),
+                                           (4, 30, range(7500, 7540))])
+    def test_lr_standard_error_is_calibrated(self, n, d, seeds):
+        # lr is the equal-prior Bayes rule, so its joint success is (1 + TV)/2.
+        exact = 0.5 * (1.0 + helpers.tv_wishart_quadrature(n, d))
+        z = []
+        for seed in seeds:
+            report = run_two_way_game(n, d, lr_detector(n, d), 100_000, RngStream(seed))
+            z.append((report.joint_success - exact) / report.joint_standard_error)
+        assert abs(np.mean(z)) <= 0.6, z
+        assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
+
     def test_worker_independence(self):
         a = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=1)
         b = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=4)
@@ -261,6 +275,23 @@ class TestThreeWayGame:
     def test_bayes_near_dimension_beats_guessing(self):
         report = run_three_way_game(2, 4, 20_000, RngStream(110))
         assert report.joint_success > 1.0 / 3.0 + 5 * report.joint_standard_error
+
+    @pytest.mark.parametrize("d,seeds,value", [(60, range(7600, 7640), 0.368357),
+                                               (9, range(7700, 7740), 0.436542)])
+    def test_bayes_standard_error_is_calibrated(self, d, seeds, value):
+        # det W(2, p) = G^2 with G ~ Gamma(p - 1), so each success is a difference of gamma
+        # CDFs at the cuts exp(c/2); the degrees of freedom are d, d - 1, d - 2.
+        gamma = pytest.importorskip("scipy.stats").gamma
+        lo, hi = (math.exp(0.5 * c) for c in bayes_three_way_detector(2, d).cuts)
+        exact = (gamma.sf(hi, d - 1) + gamma.cdf(hi, d - 2) - gamma.cdf(lo, d - 2)
+                 + gamma.cdf(lo, d - 3)) / 3.0
+        assert exact == pytest.approx(value, abs=1e-6)
+        z = []
+        for seed in seeds:
+            report = run_three_way_game(2, d, 100_000, RngStream(seed))
+            z.append((report.joint_success - exact) / report.joint_standard_error)
+        assert abs(np.mean(z)) <= 0.6, z
+        assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
 
     def test_ceiling_formula(self):
         expected = (1.0 + tv_closed_form_bound(2, 60) + tv_closed_form_bound(2, 59)) / 3.0
@@ -410,10 +441,19 @@ class TestStatisticRoute:
     def test_gram_detectors_carry_their_rule(self):
         statistics = {"bayes3": "logdet", "constant": None, "det": "logdet", "lr": "logdet",
                       "random": "trace", "trace": "trace"}
+        lr_cut = 2.0 * (log_normalizer((3, 30)) - log_normalizer((3, 29)))
+        det_cut = 0.5 * (math.log(30 * 29 * 28) + math.log(29 * 28 * 27))
+        lo, hi = TestBayesThreeWayThresholds._thresholds(3, 30)
+        cuts = {"bayes3": ((lo, hi), (0, 1, 2)), "constant": ((), ()), "random": ((), ()),
+                "det": ((det_cut,), (1, 2)), "lr": ((lr_cut,), (1, 2)),
+                "trace": ((3 * 29.5,), (1, 2))}
         for name in registry_names():
             detector = make_detector(name, 3, 30)
             assert (detector.rule is None) == (name == "constant"), name
             assert detector.statistic == statistics[name], name
+            assert detector.cuts == pytest.approx(cuts[name][0], rel=1e-14, abs=0), name
+            assert detector.labels == cuts[name][1], name
+        assert make_detector("lr", 3, 30, 2).labels == (0, 2)
         assert symmetrize_detector(lr_detector(3, 30), 2, RngStream(0)).rule is None
 
     def test_constant_detector_keeps_the_sample_route(self):
@@ -447,6 +487,46 @@ class TestChunkedStatisticDraws:
         ref = run_two_way_game(n, 9, detector, 20_000, RngStream(31), workers=2)
         monkeypatch.setattr(detection, "FOLD_ROWS", 100)
         assert run_two_way_game(n, 9, detector, 20_000, RngStream(31), workers=2) == ref
+
+
+CUT_CASES = [(1, 3), (2, 60), (3, 30), (5, 8), (50, 300), (299, 300)]
+
+
+class TestCutCounts:
+    """Log-det cut detectors count root determinants past exp((c - c_0)/2) in games: the counts
+    equal those of their rule on ``logdet_samples`` drawn from the same streams."""
+
+    @staticmethod
+    def _rule_hits(ensemble, detector, n, trials, rng, fold):
+        label, p, hits = ensemble.correct_label(), ensemble.gram_dof(), 0
+        for index, count in enumerate(batch_counts(trials)):
+            stream = rng.child(index)
+            for start in range(0, count, fold):
+                values = logdet_samples((n, p), min(fold, count - start), stream)
+                hits += int(np.count_nonzero(detector.rule(values) == label))
+        return hits
+
+    @pytest.mark.parametrize("name,n,d", [(name, n, d) for name in ("lr", "det", "bayes3")
+                                          for n, d in CUT_CASES if name != "bayes3" or n < d - 1])
+    def test_product_counts_equal_logdet_rule_counts(self, monkeypatch, name, n, d):
+        monkeypatch.setattr(detection, "FOLD_ROWS", 37)  # three chunks a batch, the last short
+        detector = make_detector(name, n, d)
+        trials = 3_000 if n < 50 else 2_000
+        for k in (0, 1, 2) if name == "bayes3" else (0, 1):
+            ensemble = Ensemble.deficient_random(d, k) if k else Ensemble.full_rank(d)
+            rng = RngStream(9300 + 7 * n + d + k)
+            result = detection._success(ensemble, detector, n, trials, rng, workers=2)
+            hits = self._rule_hits(ensemble, detector, n, trials, rng, 37)
+            assert result.success == hits / trials and type(result.success) is float, k
+
+    def test_two_way_game_at_deficiency_two(self, monkeypatch):
+        monkeypatch.setattr(detection, "FOLD_ROWS", 100)  # 313 trials: four chunks, the last 13
+        lr = lr_detector(3, 30, k=2)
+        report = run_two_way_game(3, 30, lr, 10_000, RngStream(9400), k=2)
+        ensembles = (Ensemble.full_rank(30), Ensemble.deficient_random(30, 2))
+        for idx, (ensemble, result) in enumerate(zip(ensembles, report.results)):
+            hits = self._rule_hits(ensemble, lr, 3, 10_000, RngStream(9400).child(idx), 100)
+            assert result.success == hits / 10_000, idx
 
 
 class TestEnsembles:

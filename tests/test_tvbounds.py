@@ -17,7 +17,7 @@ from precisionlab import (
 import precisionlab.tvbounds as tvbounds
 from precisionlab.parallel import merge_all, moments
 from precisionlab.tvbounds import validate_chain
-from precisionlab.wishart import log_normalizer, logdet_samples, sqrt_det_factors
+from precisionlab.wishart import log_normalizer, logdet_samples, sqrt_det_sampler
 
 
 def tv_two_exact(d):
@@ -248,11 +248,11 @@ class TestChain:
         # Both factors, and so every forward density ratio, exactly 1: at n = 2 one trial per
         # row, at n = 3 blocks of cross-paired trials.
 
-        def constant_factors(params, count, rng, log_scale, out):
+        def constant_factors(count, rng, out):
             out[:] = 1.0
             return out[0], out[-1]
 
-        monkeypatch.setattr(tvbounds, "sqrt_det_factors", constant_factors)
+        monkeypatch.setattr(tvbounds, "sqrt_det_sampler", lambda *args: constant_factors)
         for n, d in ((2, 7), (3, 30)):
             report = tv_report(n, d, 100_000, RngStream(83), workers=2)
             assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
@@ -327,12 +327,17 @@ class TestControlVariate:
         # means, so the draws' |1 - x| is recorded at the factor seam.
         ratios = []
 
-        def recording_factors(*args, **kwargs):
-            a, b = sqrt_det_factors(*args, **kwargs)
-            ratios.append(np.abs(1.0 - a * b))
-            return a, b
+        def recording_sampler(*args):
+            factors = sqrt_det_sampler(*args)
 
-        monkeypatch.setattr(tvbounds, "sqrt_det_factors", recording_factors)
+            def recording_factors(*args, **kwargs):
+                a, b = factors(*args, **kwargs)
+                ratios.append(np.abs(1.0 - a * b))
+                return a, b
+
+            return recording_factors
+
+        monkeypatch.setattr(tvbounds, "sqrt_det_sampler", recording_sampler)
         acc = merge_all(tvbounds._ratio_moments(3, 30, 1_000_000, RngStream(41), 1, False))
         y = np.concatenate(ratios)
         assert len(y) == 1_000_000

@@ -18,7 +18,7 @@ from precisionlab import (
     wishart_samples,
 )
 from precisionlab.wishart import (log_det_moment, logdet_samples, logdet_trace_many,
-                                  sqrt_det_factors, trace_samples)
+                                  sqrt_det_sampler, trace_samples)
 
 
 class TestGram:
@@ -276,7 +276,7 @@ class TestBartlettRoute:
         # reaches e^708.4 on these draws, next to the edge of the double range (e^709.8);
         # pytest makes an overflow's RuntimeWarning an error.
         log_ratio = log_normalizer((n, d - 1)) - log_normalizer((n, d))
-        a, b = sqrt_det_factors((n, d - 1), 20_000, RngStream(13), log_ratio)
+        a, b = sqrt_det_sampler((n, d - 1), log_ratio)(20_000, RngStream(13))
         reference = np.exp(0.5 * logdet_samples((n, d - 1), 20_000, RngStream(13)) + log_ratio)
         assert a.shape == b.shape == (20_000,)
         assert np.max(np.abs(a * b / reference - 1.0)) <= rtol
