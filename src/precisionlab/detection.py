@@ -22,7 +22,7 @@ alone, since the full-rank, random- and fixed-deficiency ensembles have Gram
 law W(n, p), p = d, d-k or d-1, and count a cut detector's draws at or past
 each cut: of the trace, or of the root determinant (no log) scaled to 1 at
 the first cut.  Rule-less detectors (constant, custom, symmetrized), the
-explicit ensemble and n > p sample batches.
+explicit ensemble and n > p sample batches, FOLD_ROWS // (n d) at a time.
 """
 
 from __future__ import annotations
@@ -375,34 +375,35 @@ def three_way_ceiling(n: int, d: int) -> float:
 def _success(
     ensemble: Ensemble, detector: Detector, n: int, trials: int, rng: RngStream, workers: int
 ) -> EnsembleResult:
-    label = ensemble.correct_label()
-    p = ensemble.gram_dof()
+    label, p, rule, step = ensemble.correct_label(), ensemble.gram_dof(), detector.rule, FOLD_ROWS
     logdet, cuts = detector.statistic == "logdet", detector.cuts
     # Draw the statistic alone: the trace, or the root determinant counted at a rule's cuts.
-    direct = detector.rule is not None and p is not None and n <= p and (bool(cuts) or not logdet)
+    direct = rule is not None and p is not None and n <= p and (bool(cuts) or not logdet)
     rows = (n + 1) // 2 if logdet else 1
     wins = [i for i, guess in enumerate(detector.labels) if guess == label]  # intervals
     draw = lambda size, stream, out: trace_samples((n, p), size, stream, out=out)
-    if direct and logdet:  # count a * b = exp((logdet - c_0) / 2) past exp((c - c_0) / 2)
+    if not direct:  # sample batches, FOLD_ROWS // (n d) at a time, and score their guesses
+        cuts, rule, step = (), lambda guesses: guesses, max(1, FOLD_ROWS // (n * ensemble.dim))
+        draw = lambda size, stream, out: evaluate_batches(
+            detector, ensemble.sample_many(n, size, stream))
+    elif logdet:  # count a * b = exp((logdet - c_0) / 2) past exp((c - c_0) / 2)
         factors = sqrt_det_sampler((n, p), -0.5 * cuts[0])
         cuts = [math.exp(0.5 * (c - cuts[0])) for c in cuts]
         draw = lambda size, stream, out: np.multiply(*factors(size, stream, out), out=out[0])
+        if rows == 1:  # b is a broadcast of ones
+            draw = lambda size, stream, out: factors(size, stream, out)[0]
 
-    def batch(count: int, stream: RngStream, work: np.ndarray | None = None) -> int:
-        if not direct:
-            guesses = evaluate_batches(detector, ensemble.sample_many(n, count, stream))
-            return int(np.count_nonzero(guesses == label))
+    def batch(count: int, stream: RngStream, work: np.ndarray) -> int:
         hits = 0
-        for start in range(0, count, FOLD_ROWS):
-            size = min(FOLD_ROWS, count - start)
+        for start in range(0, count, step):
+            size = min(step, count - start)
             values = draw(size, stream, work[: rows * size].reshape(rows, size))
             past = [size] + [np.count_nonzero(values >= c) for c in cuts] + [0]  # at or past
-            hits += int(sum(past[i] - past[i + 1] for i in wins) if cuts else  # or a hash rule
-                        np.count_nonzero(detector.rule(values) == label))
+            hits += int(sum(past[i] - past[i + 1] for i in wins) if cuts else  # or a rule
+                        np.count_nonzero(rule(values) == label))
         return hits
 
-    scratch = (lambda: np.empty(rows * FOLD_ROWS)) if direct else None
-    hits = sum(run_batched(batch, trials, rng, workers=workers, scratch=scratch))
+    hits = sum(run_batched(batch, trials, rng, workers, scratch=lambda: np.empty(rows * step)))
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return EnsembleResult(ensemble.kind, int(label), p, se)

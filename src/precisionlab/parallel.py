@@ -1,6 +1,7 @@
 """Deterministic batch splitting and the one streaming reducer of every Monte Carlo loop.
 
-Work is divided over a fixed batch grid with one child stream per batch
+Work is divided over a fixed batch grid, set by the total alone: at most 32
+batches of at least ``MIN_BATCH`` trials, with one child stream per batch
 index and combined in batch order, so results are bit-reproducible for any
 number of threads.  The calling thread and ``workers - 1`` persistent helper
 threads pull batch indices from one iterator.  Batch functions must be pure
@@ -28,14 +29,16 @@ T = TypeVar("T")
 
 DEFAULT_BATCHES = 32
 FOLD_ROWS = 1 << 16  # most values a batch draws and reduces at a time
+MIN_BATCH = FOLD_ROWS // 8  # fewest trials a batch runs, unless the total is smaller
 _HELPERS: dict[int, ThreadPoolExecutor] = {}  # by helper count; concurrent.futures joins at exit
 
 
 def batch_counts(total: int, n_batches: int = DEFAULT_BATCHES) -> list[int]:
-    """Near-even deterministic split of ``total`` trials into at most ``n_batches``."""
+    """Near-even deterministic split of ``total`` trials into at most ``n_batches``, each of at
+    least ``MIN_BATCH`` trials unless there is only one."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    b = min(n_batches, total)
+    b = min(n_batches, max(total // MIN_BATCH, min(total, 1)))
     q, r = divmod(total, b or 1)  # total == 0 gives no batches
     return [q + 1] * r + [q] * (b - r)
 

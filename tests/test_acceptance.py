@@ -259,16 +259,16 @@ def test_c13_cli_determinism(tmp_path):
     proj.write_text("3\n0 0 0\n0 1 0\n0 0 1\n")
     cases = [
         ["bound-table", "--d-max", "12"],
-        ["tv", "--n", "2", "--d", "7", "--trials", "10000", "--seed", "1"],
+        ["tv", "--n", "2", "--d", "7", "--trials", "20000", "--seed", "1"],
         ["alpha", "--matrix-file", str(tri), "--epsilon", "0.3",
          "--trials", "100000", "--seed", "2"],
         ["moments", "--n", "2", "--d", "4", "--trials", "20000", "--seed", "3"],
         ["game", "--mode", "two-way", "--n", "3", "--d", "30", "--detector", "lr",
-         "--trials", "10000", "--seed", "7"],
+         "--trials", "20000", "--seed", "7"],
         ["game", "--mode", "three-way", "--n", "2", "--d", "12",
-         "--trials", "10000", "--seed", "8"],
+         "--trials", "20000", "--seed", "8"],
         ["game", "--mode", "fixed-theta", "--n", "2", "--d", "8",
-         "--trials", "10000", "--seed", "9", "--theta-seed", "4"],
+         "--trials", "20000", "--seed", "9", "--theta-seed", "4"],
         ["section", "--matrix-file", str(proj)],
     ]
     for idx, case in enumerate(cases):

@@ -189,8 +189,8 @@ class TestTwoWayGame:
         assert 0.6 <= np.std(z, ddof=1) <= 1.4, z
 
     def test_worker_independence(self):
-        a = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=1)
-        b = run_two_way_game(2, 10, lr_detector(2, 10), 10_000, RngStream(103), workers=4)
+        a = run_two_way_game(2, 10, lr_detector(2, 10), 20_000, RngStream(103), workers=1)
+        b = run_two_way_game(2, 10, lr_detector(2, 10), 20_000, RngStream(103), workers=4)
         assert a == b
 
     def test_ceiling_formula(self):
@@ -509,7 +509,7 @@ class TestCutCounts:
     @pytest.mark.parametrize("name,n,d", [(name, n, d) for name in ("lr", "det", "bayes3")
                                           for n, d in CUT_CASES if name != "bayes3" or n < d - 1])
     def test_product_counts_equal_logdet_rule_counts(self, monkeypatch, name, n, d):
-        monkeypatch.setattr(detection, "FOLD_ROWS", 37)  # three chunks a batch, the last short
+        monkeypatch.setattr(detection, "FOLD_ROWS", 37)  # chunks of 37, the last short
         detector = make_detector(name, n, d)
         trials = 3_000 if n < 50 else 2_000
         for k in (0, 1, 2) if name == "bayes3" else (0, 1):
@@ -520,12 +520,12 @@ class TestCutCounts:
             assert result.success == hits / trials and type(result.success) is float, k
 
     def test_two_way_game_at_deficiency_two(self, monkeypatch):
-        monkeypatch.setattr(detection, "FOLD_ROWS", 100)  # 313 trials: four chunks, the last 13
+        monkeypatch.setattr(detection, "FOLD_ROWS", 300)  # one batch: 34 chunks, the last 100
         lr = lr_detector(3, 30, k=2)
         report = run_two_way_game(3, 30, lr, 10_000, RngStream(9400), k=2)
         ensembles = (Ensemble.full_rank(30), Ensemble.deficient_random(30, 2))
         for idx, (ensemble, result) in enumerate(zip(ensembles, report.results)):
-            hits = self._rule_hits(ensemble, lr, 3, 10_000, RngStream(9400).child(idx), 100)
+            hits = self._rule_hits(ensemble, lr, 3, 10_000, RngStream(9400).child(idx), 300)
             assert result.success == hits / 10_000, idx
 
 

@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from precisionlab import (InvalidParamsError, RngStream, alpha_monte_carlo, lr_detector,
-                          run_two_way_game, tv_report)
-from precisionlab import parallel
+from precisionlab import (InvalidParamsError, RngStream, alpha_monte_carlo, constant_detector,
+                          lr_detector, run_two_way_game, tv_report)
+from precisionlab import detection, parallel
 from precisionlab.cli import main
-from precisionlab.parallel import DEFAULT_BATCHES, batch_counts, run_batched
+from precisionlab.parallel import DEFAULT_BATCHES, MIN_BATCH, batch_counts, run_batched
 
 TIMEOUT_S = 60.0
+FULL_GRID = DEFAULT_BATCHES * MIN_BATCH  # the least total that runs every batch of the grid
 
 
 def normals(count, stream):
@@ -38,27 +39,36 @@ def test_empty_grid():
     assert run_batched(normals, 0, RngStream(1), workers=4) == []
 
 
+@pytest.mark.parametrize("total,batches", [(0, 0), (1, 1), (8_191, 1), (100_000, 12),
+                                           (262_144, 32), (10**6, 32)])
+def test_grid_is_at_most_32_batches_of_at_least_min_batch(total, batches):
+    counts = batch_counts(total)
+    assert len(counts) == batches and sum(counts) == total
+    assert max(counts, default=0) - min(counts, default=0) <= 1
+    assert batches <= 1 or min(counts) >= MIN_BATCH == 8_192
+
+
 def test_results_come_back_in_batch_order():
     rng = RngStream(5)
-    ids = run_batched(lambda count, stream: stream.stream_id, 10_000, rng, workers=4)
+    ids = run_batched(lambda count, stream: stream.stream_id, FULL_GRID, rng, workers=4)
     assert ids == [rng.child(i).stream_id for i in range(DEFAULT_BATCHES)]
 
 
 @pytest.mark.parametrize("workers", [2, 4, 40])
 def test_equal_arrays_for_any_worker_count(workers):
-    ref = run_batched(normals, 100_003, RngStream(11), workers=1)
-    got = run_batched(normals, 100_003, RngStream(11), workers=workers)
+    ref = run_batched(normals, FULL_GRID + 3, RngStream(11), workers=1)
+    got = run_batched(normals, FULL_GRID + 3, RngStream(11), workers=workers)
     assert len(got) == len(ref) == DEFAULT_BATCHES
     for a, b in zip(ref, got):
         assert np.array_equal(a, b)
 
 
 def test_helper_executor_is_reused_and_threads_do_not_grow():
-    run_batched(normals, 10_000, RngStream(0), workers=2)
+    run_batched(normals, 2 * MIN_BATCH, RngStream(0), workers=2)
     pool = parallel._HELPERS[1]
     threads = threading.active_count()
     for seed in range(200):
-        run_batched(normals, 10_000, RngStream(seed), workers=2)
+        run_batched(normals, 2 * MIN_BATCH, RngStream(seed), workers=2)
     assert parallel._HELPERS[1] is pool
     assert threading.active_count() <= threads
 
@@ -66,13 +76,14 @@ def test_helper_executor_is_reused_and_threads_do_not_grow():
 HELPER_COUNT_SCRIPT = """
 import threading, time
 from precisionlab import RngStream
-from precisionlab.parallel import run_batched
+from precisionlab.parallel import DEFAULT_BATCHES, MIN_BATCH, run_batched
 
 def batch(count, stream):
     time.sleep(0.002)
     return count
 
-for workers, total in [(2, 10_000), (40, 10_000), (40, 3)]:
+for workers, total in [(2, DEFAULT_BATCHES * MIN_BATCH), (40, DEFAULT_BATCHES * MIN_BATCH),
+                       (40, 3 * MIN_BATCH)]:
     before = threading.active_count()
     run_batched(batch, total, RngStream(0), workers=workers)
     print(threading.active_count() - before)
@@ -97,7 +108,7 @@ def test_helpers_run_on_named_threads():
         time.sleep(0.002)
         return count
 
-    run_batched(batch, 10_000, RngStream(3), workers=4)
+    run_batched(batch, 4 * MIN_BATCH, RngStream(3), workers=4)
     helpers = seen - {threading.current_thread()}
     assert len(helpers) <= 3
     assert all(t.name.startswith("precisionlab-helper") for t in helpers)
@@ -113,7 +124,7 @@ def test_calling_thread_takes_a_share():
         seen.append(threading.current_thread())
         return count
 
-    assert run_batched(batch, 2, RngStream(0), workers=2) == [1, 1]
+    assert run_batched(batch, 2 * MIN_BATCH, RngStream(0), workers=2) == [MIN_BATCH] * 2
     assert threading.current_thread() in seen and len(set(seen)) == 2
 
 
@@ -128,9 +139,9 @@ def test_batch_error_reaches_caller_and_next_call_succeeds(where):
         return count
 
     with pytest.raises(InvalidParamsError, match=where):
-        run_batched(batch, 2, RngStream(0), workers=2)
-    ref = run_batched(normals, 10_000, RngStream(8), workers=1)
-    got = run_batched(normals, 10_000, RngStream(8), workers=2)
+        run_batched(batch, 2 * MIN_BATCH, RngStream(0), workers=2)
+    ref = run_batched(normals, FULL_GRID, RngStream(8), workers=1)
+    got = run_batched(normals, FULL_GRID, RngStream(8), workers=2)
     assert all(np.array_equal(a, b) for a, b in zip(ref, got))
 
 
@@ -148,7 +159,7 @@ def test_error_on_the_caller_stops_the_helpers():
         return count
 
     with pytest.raises(InvalidParamsError):
-        run_batched(batch, 10_000, RngStream(0), workers=2)
+        run_batched(batch, FULL_GRID, RngStream(0), workers=2)
     # The helper finishes the batch it is on and takes no more of the 32.
     assert len(started) <= 8
 
@@ -167,7 +178,7 @@ def test_every_batch_runs_once_under_frequent_thread_switches():
         for _ in range(20):
             calls.clear()
             ids = run_with_timeout(
-                lambda: run_batched(batch, 10_000, rng, workers=8, n_batches=256))
+                lambda: run_batched(batch, 256 * MIN_BATCH, rng, workers=8, n_batches=256))
             assert ids == [rng.child(i).stream_id for i in range(256)]
             assert sorted(calls) == sorted(ids)
     finally:
@@ -176,12 +187,13 @@ def test_every_batch_runs_once_under_frequent_thread_switches():
 
 @pytest.mark.parametrize("outer, inner", [(2, 2), (4, 2), (2, 40)])
 def test_nested_call_completes(outer, inner):
-    def batch(count, stream):
-        parts = run_batched(normals, 1_000 + count, stream, workers=inner)
+    def batch(count, stream):  # two inner batches
+        parts = run_batched(normals, MIN_BATCH + count, stream, workers=inner)
         return float(sum(p.sum() for p in parts))
 
-    ref = run_batched(batch, 64, RngStream(21), workers=1)
-    assert run_with_timeout(lambda: run_batched(batch, 64, RngStream(21), workers=outer)) == ref
+    ref = run_batched(batch, 4 * MIN_BATCH + 64, RngStream(21), workers=1)
+    assert run_with_timeout(
+        lambda: run_batched(batch, 4 * MIN_BATCH + 64, RngStream(21), workers=outer)) == ref
 
 
 def _moments_command(trials):
@@ -191,7 +203,8 @@ def _moments_command(trials):
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
 # Each smaller size puts more than one chunk into every batch: tv, alpha and
-# game draw 2**16 rows per chunk, moments 1/2 draws 2**15 matrices.
+# game draw 2**16 rows per chunk, moments 1/2 draws 2**15 matrices, and the
+# sample route (a constant detector reads the batches) 2,184 batches of 3 x 10.
 STREAMED = {
     "tv": (lambda trials: tv_report(3, 30, trials, RngStream(1), workers=1), 2_200_000),
     "alpha": (lambda trials: alpha_monte_carlo(TRIDIAGONAL, 0, 1, 1.0, trials, RngStream(2)),
@@ -199,6 +212,9 @@ STREAMED = {
     "moments": (_moments_command, 1_100_000),
     "game": (lambda trials: run_two_way_game(3, 30, lr_detector(3, 30), trials, RngStream(3),
                                              workers=1), 2_200_000),
+    "game-samples": (lambda trials: detection._success(
+        detection.Ensemble.full_rank(10), constant_detector(), 3, trials, RngStream(4), 1),
+        1_100_000),
 }
 
 

@@ -15,8 +15,8 @@ from precisionlab import (
     tv_report,
 )
 import precisionlab.tvbounds as tvbounds
-from precisionlab.parallel import merge_all, moments
-from precisionlab.tvbounds import validate_chain
+from precisionlab.parallel import comoments, merge_all, moments
+from precisionlab.tvbounds import tv_sqrt_moment_ratio_bound, validate_chain
 from precisionlab.wishart import log_normalizer, logdet_samples, sqrt_det_sampler
 
 
@@ -252,11 +252,14 @@ class TestChain:
             out[:] = 1.0
             return out[0], out[-1]
 
+        # The 12 batches of 8,333 or 8,334 trials each end in a short block at n = 3.  The middle
+        # link is closed form, so the draws do not reach it.
         monkeypatch.setattr(tvbounds, "sqrt_det_sampler", lambda *args: constant_factors)
         for n, d in ((2, 7), (3, 30)):
             report = tv_report(n, d, 100_000, RngStream(83), workers=2)
-            assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_bound,
-                    report.sqrt_moment_ratio_se) == (0.0, 0.0, 0.0, 0.0), (n, d)
+            assert (report.mc_estimate, report.mc_standard_error, report.sqrt_moment_ratio_se,
+                    report.sqrt_moment_ratio_bound) == (0.0, 0.0, 0.0,
+                                                        tv_sqrt_moment_ratio_bound(n, d)), (n, d)
 
     def test_report_fields_and_invariants(self):
         report = tv_report(2, 7, 50_000, RngStream(81))
@@ -264,7 +267,22 @@ class TestChain:
         assert report.samples_used == 50_000
         assert report.moment_ratio_bound == tv_moment_ratio_bound(2, 7)
         assert report.closed_form_bound == tv_closed_form_bound(2, 7)
+        assert report.sqrt_moment_ratio_bound == tv_sqrt_moment_ratio_bound(2, 7)
+        assert report.sqrt_moment_ratio_se == 0.0
         validate_chain(report)  # must not raise
+
+    def test_middle_link_in_closed_form(self):
+        # At (2, 7) E x^2 = 6/5, so the link is (1/2) sqrt(1/5) = sqrt(5)/10.
+        assert tv_sqrt_moment_ratio_bound(3, 30) == pytest.approx(0.11733330008960628,
+                                                                  rel=0, abs=1e-15)
+        assert tv_sqrt_moment_ratio_bound(2, 7) == pytest.approx(math.sqrt(5.0) / 10.0,
+                                                                 rel=0, abs=1e-14)
+
+    def test_deterministic_link_holds_exactly_on_the_threshold_grid(self):
+        # Link 2 compares two closed forms with no slack, at every n < d/3, d <= 300.
+        for d in range(2, 301):
+            for n in range(1, -(-d // 3)):
+                assert tv_sqrt_moment_ratio_bound(n, d) <= tv_moment_ratio_bound(n, d), (n, d)
 
     def test_validate_chain_catches_violations(self):
         report = tv_report(2, 7, 20_000, RngStream(82))
@@ -346,12 +364,19 @@ class TestControlVariate:
 
     @pytest.mark.parametrize("n,d", [(3, 30), (1, 10), (2, 7)])
     def test_middle_link_is_calibrated_against_closed_form(self, n, d):
-        # half-CV(sqrt det) = (1/2) sqrt(E x^2 - 1), since E x = 1; batch-means error.
+        # half-CV(sqrt det) = (1/2) sqrt(E x^2 - 1), since E x = 1.  The report gives it in closed
+        # form; the Monte Carlo half sd(x), from the accumulator's x and x^2 columns (rows are
+        # blocks from n = 3 on) with its delta-method error, sweeps against it.
         exact = 0.5 * math.sqrt(ratio_second_moment(n, d) - 1.0)
+        assert tv_sqrt_moment_ratio_bound(n, d) == pytest.approx(exact, rel=0, abs=1e-12)
         z = []
         for seed in range(6100, 6140):
-            report = tv_report(n, d, 100_000, RngStream(seed))
-            z.append((report.sqrt_moment_ratio_bound - exact) / report.sqrt_moment_ratio_se)
+            acc = merge_all(tvbounds._ratio_moments(n, d, 100_000, RngStream(seed), 1, False))
+            rows, (m1, m2) = acc[0, 0], acc[1, [0, -2]]
+            sd = math.sqrt(m2 - m1 * m1)
+            grad = np.array([-0.5 * m1 / sd, 0.25 / sd])  # of (1/2) sqrt(m2 - m1^2)
+            cov = comoments(acc)[np.ix_([0, -2], [0, -2])] / (rows - 1.0)
+            z.append((0.5 * sd - exact) / math.sqrt(grad @ cov @ grad / rows))
         assert_calibrated(z)
 
 
@@ -382,10 +407,10 @@ class TestCrossPairs:
         assert tv_exact_mc(3, 30, 10**6, RngStream(41)).standard_error <= 0.6 * 1.628e-05
 
     @pytest.mark.parametrize("n,d,seed,estimate,error", [
-        (1, 2, 90, 0.3024229745226102, 0.0001268862692238618),
-        (1, 2, 91, 0.30252053214849567, 0.00012701091456224724),
-        (2, 7, 90, 0.1753781293664395, 9.556773466196244e-05),
-        (2, 7, 91, 0.17564706168099664, 9.470408042458131e-05)])
+        (1, 2, 90, 0.3025467265498714, 0.00012692007166721262),
+        (1, 2, 91, 0.30231412164126814, 0.00012662878014471532),
+        (2, 7, 90, 0.17539987980376093, 9.842726783174417e-05),
+        (2, 7, 91, 0.17563263289102612, 9.289886612471728e-05)])
     def test_one_factor_keeps_single_trial_rows(self, n, d, seed, estimate, error):
         # At n <= 2 the ratio has one Bartlett factor, so rows stay single trials: the
         # values of the single-trial estimator at 1e5 trials.
@@ -399,7 +424,7 @@ class TestCrossPairs:
 
     @pytest.mark.parametrize("n,d", [(2, 7), (3, 9), (5, 30), (8, 30)])
     def test_several_chunks_a_batch(self, n, d, monkeypatch):
-        # Batches of 3,125 trials in chunks of 1,001 that reuse the scratch: from n = 3 each chunk
+        # Batches of 8,333 or 8,334 trials in chunks of 1,001 that reuse the scratch: from n = 3 each chunk
         # ends in a short block, from n = 5 b moves to row 1, and at n = 8 the block rows lie in
         # dead draw rows.  Same trials, seed and workers both ways.
         whole = tv_exact_mc(n, d, 100_000, RngStream(85))
