@@ -16,9 +16,10 @@ running both code paths rather than hard-coding it.
 
 Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
-The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last) and
-thins the first screen by one binomial draw per batch; products use ``einsum``,
-as BLAS inside a batch worker would start threads that fight the workers.
+The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last), thins
+the first screen by one binomial draw per call and gives each batch a fold of
+the passing rows; products use ``einsum``, as BLAS inside a batch worker would
+start threads that fight the workers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     TooFewAcceptancesError,
 )
 from .matcore import PSD_REL_TOL, RANK_ROUNDING_MARGIN, check_matrix, cholesky_logdet, psd_eigh
-from .parallel import FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
+from .parallel import DEFAULT_BATCHES, FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 
 # Sampling costs about epsilon * trials, but acceptances scale like
@@ -197,12 +198,15 @@ def alpha_monte_carlo(
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = cholesky_logdet(m[np.ix_(order, order)]).factor
     rows, t = FOLD_ROWS // d, epsilon / c[0, 0] if d > 2 else math.inf
+    # A proposal passes the first screen alone, so one binomial from a fresh copy of the
+    # call's stream counts the rows to draw (all of them at t = inf, where p0 is 1).
+    p0 = math.erf(t / math.sqrt(2.0))
+    passed = RngStream(rng.seed, rng.stream_id).gen.binomial(trials, p0)
 
     def batch(count: int, stream: RngStream, work: np.ndarray) -> np.ndarray:
         gen, acc = stream.gen, np.zeros((3, 3))
-        passed = gen.binomial(count, math.erf(t / math.sqrt(2.0))) if d > 2 else count
-        for start in range(0, passed, rows):  # rows 3 on hold z, (d, n)
-            n = min(rows, passed - start)
+        for start in range(0, count, rows):  # rows 3 on hold z, (d, n)
+            n = min(rows, count - start)
             z = work[3:].reshape(-1)[: d * n].reshape(d, n)
             if d > 2:  # the first screen |c00 z0| < epsilon passed; z0 spills into z1
                 _truncated_normals(gen, t, n, work[3], work[:3])
@@ -220,8 +224,9 @@ def alpha_monte_carlo(
                 acc = merge(acc, moments(work[:3, :n]))
         return acc
 
-    acc = merge_all(run_batched(batch, trials, rng, workers,
-                                scratch=lambda: np.empty((3 + d, rows))))
+    parts = run_batched(batch, passed, rng, workers, min(DEFAULT_BATCHES, -(-passed // rows)),
+                        scratch=lambda: np.empty((3 + d, rows)))  # a fold of rows per batch
+    acc = merge_all([np.zeros((3, 3)), *parts])  # no batches when no proposal passes
     count = int(acc[0, 0])
     if count < min_accepted:
         raise TooFewAcceptancesError(
@@ -229,16 +234,9 @@ def alpha_monte_carlo(
             f"(need {min_accepted}); widen epsilon or raise trials"
         )
     mean, sd = mean_sd(acc)
-    values = mean[[[0, 1], [1, 2]]]
-    errors = sd[[[0, 1], [1, 2]]] / math.sqrt(count)
-    return AlphaEstimate(
-        pair=(i, j),
-        epsilon=float(epsilon),
-        values=values,
-        standard_errors=errors,
-        accepted=count,
-        proposals=int(trials),
-    )
+    return AlphaEstimate(pair=(i, j), epsilon=float(epsilon), values=mean[[[0, 1], [1, 2]]],
+                         standard_errors=sd[[[0, 1], [1, 2]]] / math.sqrt(count),
+                         accepted=count, proposals=int(trials))
 
 
 def section_covariance(a) -> SectionCovariance:

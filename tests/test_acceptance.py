@@ -261,7 +261,7 @@ def test_c13_cli_determinism(tmp_path):
         ["bound-table", "--d-max", "12"],
         ["tv", "--n", "2", "--d", "7", "--trials", "20000", "--seed", "1"],
         ["alpha", "--matrix-file", str(tri), "--epsilon", "0.3",
-         "--trials", "100000", "--seed", "2"],
+         "--trials", "400000", "--seed", "2"],
         ["moments", "--n", "2", "--d", "4", "--trials", "20000", "--seed", "3"],
         ["game", "--mode", "two-way", "--n", "3", "--d", "30", "--detector", "lr",
          "--trials", "20000", "--seed", "7"],

@@ -128,6 +128,11 @@ class TestAlphaCommand:
         assert main(["alpha", "--matrix-file", str(path)]) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_no_pass_exits_2(self, tri_file, capsys):
+        assert main(["alpha", "--matrix-file", tri_file, "--epsilon", "1e-9",
+                     "--trials", "10000"]) == 2
+        assert "only 0 acceptances" in capsys.readouterr().err
+
     def test_not_positive_definite_file(self, tmp_path):
         path = tmp_path / "proj.txt"
         path.write_text(PROJECTOR_FILE)
@@ -308,10 +313,11 @@ def test_monte_carlo_json_is_strict_at_trial_floor(case, tri_file, tmp_path):
 @pytest.mark.parametrize("case", [
     ["tv", "--n", "3", "--d", "30", "--trials", "3000000"],
     ["moments", "--n", "3", "--d", "9", "--trials", "100000"],
-    ["alpha", "--epsilon", "0.3", "--trials", "3000000"],
+    ["alpha", "--epsilon", "0.3", "--trials", "6000000"],
 ], ids=lambda case: case[0])
 def test_streamed_output_is_identical_for_any_worker_count(case, tri_file, tmp_path):
-    # Each size puts more than one chunk into every batch.
+    # Each size puts more than one chunk into every batch: alpha's 6e6 proposals pass
+    # about 1e6 rows, more than 32 folds of 21,845.
     if case[0] == "alpha":
         case = case + ["--matrix-file", tri_file]
     outputs = []

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from precisionlab import (
     sym_sqrt,
     uniform_sphere_many,
 )
+import precisionlab.conditional as conditional
 from precisionlab.conditional import _invert_2x2, _truncated_normals
-from precisionlab.parallel import FOLD_ROWS, batch_counts
+from precisionlab.parallel import FOLD_ROWS, batch_counts, run_batched
 from precisionlab.sampler import random_subspace_basis
 
 TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
@@ -172,16 +174,22 @@ class TestAlphaMonteCarlo:
         assert np.array_equal(a, b)
 
     def test_worker_count_does_not_change_result(self):
-        for a, (i, j), eps in ((TRIDIAGONAL, (0, 1), 0.3),
-                               (helpers.random_spd(5, seed=5005), (4, 0), 0.8)):
-            base = alpha_monte_carlo(a, i, j, eps, 50_000, RngStream(57), workers=1,
+        # About 67,000 passing rows at d = 3 and 44,000 at d = 5: 4 batches each.
+        for a, (i, j), eps, trials in ((TRIDIAGONAL, (0, 1), 0.3, 400_000),
+                                       (helpers.random_spd(5, seed=5005), (4, 0), 0.8, 200_000)):
+            base = alpha_monte_carlo(a, i, j, eps, trials, RngStream(57), workers=1,
                                      min_accepted=100)
             for workers in (2, 4):
-                other = alpha_monte_carlo(a, i, j, eps, 50_000, RngStream(57),
+                other = alpha_monte_carlo(a, i, j, eps, trials, RngStream(57),
                                           workers=workers, min_accepted=100)
                 assert np.array_equal(base.values, other.values)
                 assert np.array_equal(base.standard_errors, other.standard_errors)
                 assert base.accepted == other.accepted
+
+    def test_no_pass_fails_cleanly(self):
+        # The pass count is 0, so the grid has no batches.
+        with pytest.raises(TooFewAcceptancesError, match="only 0 acceptances"):
+            alpha_monte_carlo(TRIDIAGONAL, 0, 1, 1e-9, 10_000, RngStream(55))
 
     @pytest.mark.parametrize("min_accepted", [0, 1])
     def test_min_accepted_below_two_rejected(self, min_accepted):
@@ -216,23 +224,25 @@ def _slab_normals(gen, t, count, capacity):
 
 
 def _triangular_route(a, i, j, epsilon, trials, rng):
-    """``alpha_monte_carlo``'s batch grid, stream layout and chunks, with one
-    ``z @ C.T`` product per chunk (C the Cholesky factor of ``a`` with the pair
-    ordered last): per batch one binomial count of the proposals that pass the
-    first screen; per chunk of those, z0 by the same rejection, the later
-    screens' normals, the whole screen, then the pair's normals.  The accepted
-    pairs."""
+    """``alpha_monte_carlo``'s pass count, batch grid, stream layout and chunks,
+    with one ``z @ C.T`` product per chunk (C the Cholesky factor of ``a`` with
+    the pair ordered last): one binomial count of the proposals that pass the
+    first screen, from a fresh copy of the root stream; those rows split over
+    min(32, ceil(passed / rows)) batches, each on its child stream; per chunk of
+    a batch's rows, z0 by the same rejection, the later screens' normals, the
+    whole screen, then the pair's normals.  The accepted pairs."""
     d = a.shape[0]
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = np.linalg.cholesky(a[np.ix_(order, order)])
     rows = FOLD_ROWS // d
     t = epsilon / c[0, 0] if d > 2 else math.inf
+    p0 = math.erf(t / math.sqrt(2.0))
+    passed = RngStream(rng.seed, rng.stream_id).gen.binomial(trials, p0) if d > 2 else trials
     parts = []
-    for index, count in enumerate(batch_counts(trials)):
+    for index, count in enumerate(batch_counts(passed, min(32, math.ceil(passed / rows)))):
         gen = rng.child(index).gen
-        passed = gen.binomial(count, math.erf(t / math.sqrt(2.0))) if d > 2 else count
-        for start in range(0, passed, rows):
-            n = min(rows, passed - start)
+        for start in range(0, count, rows):
+            n = min(rows, count - start)
             z = np.empty((n, d - 2))
             if d > 2:
                 z[:, 0] = _slab_normals(gen, t, n, rows)
@@ -274,7 +284,8 @@ class TestAlphaRoutes:
                                                       (5, 4, 0, 2.5, 400_000)])
     def test_matches_matrix_product_route_in_wide_slabs(self, d, i, j, eps, trials):
         # t = eps / c00 is 2.6 and 2.0: z0 comes from normal proposals, and at d = 3
-        # each batch passes about 62,000 rows, three chunks with a capped round.
+        # each of the 32 batches takes about 62,000 passing rows, three chunks with a
+        # capped round.
         a = helpers.random_spd(d, seed=5600 + d)
         est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(59), workers=2)
         y = _triangular_route(a, i, j, eps, trials, RngStream(59))
@@ -330,6 +341,40 @@ class TestSlabDraws:
                                 RngStream(5500 + d))
         assert est.accepted == est.proposals == 100_000
         assert np.all(np.isfinite(est.values))
+
+    def test_pass_count_is_calibrated(self):
+        # Seeds fixed once.  At d = 3 no later screen follows, so every pass is accepted;
+        # the count's z-scores against Binomial(trials, p0) over 100 runs should look N(0, 1).
+        trials, p0 = 200_000, math.erf(0.15)  # t = 0.3 / sqrt(2) on the pair (0, 1)
+        z = np.array([(alpha_monte_carlo(TRIDIAGONAL, 0, 1, 0.3, trials, RngStream(seed)).accepted
+                       - trials * p0) / math.sqrt(trials * p0 * (1.0 - p0))
+                      for seed in range(8500, 8600)])
+        assert abs(z.mean()) <= 0.6, z.mean()
+        assert 0.6 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
+
+
+class TestAlphaGrid:
+    """One pass count per call, split over the batch grid a fold of rows per batch."""
+
+    @pytest.mark.parametrize("trials, n_batches", [(400_000, 4), (6_000_000, 32)])
+    def test_grid_splits_the_pass_count(self, trials, n_batches, monkeypatch):
+        # At d = 3 a fold is 21,845 rows and about 16.8% of proposals pass: 67,000 rows
+        # make 4 batches, and 1e6 rows are more than 32 folds, so they fill all 32.
+        grids = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(run_batched).bind(*args, **kwargs)
+            parts = run_batched(*args, **kwargs)
+            grids.append((bound.arguments["total"], bound.arguments["n_batches"], len(parts)))
+            return parts
+
+        monkeypatch.setattr(conditional, "run_batched", spy)
+        for workers in (1, 2, 4):
+            est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, 0.3, trials, RngStream(61), workers=workers)
+            expected = min(32, math.ceil(est.accepted / (FOLD_ROWS // 3)))
+            assert grids[-1] == (est.accepted, expected, expected)
+        assert grids[0][1] == n_batches
+        assert grids[0] == grids[1] == grids[2]
 
 
 class TestSectionCovariance:
