@@ -18,7 +18,8 @@ Both an analytic path (linear solves) and a brute-force path (rejection
 sampling of the slab event) are provided so they can check each other.
 The sampler draws N(0, A) as ``C z`` (Cholesky C, pair ordered last), thins
 the first screen by one binomial draw per call and gives each batch a fold of
-the passing rows; products use ``einsum``, as BLAS inside a batch worker would
+the passing rows; it is plain rejection, with the mirror of the last normal
+paired in.  Products use ``einsum``, as BLAS inside a batch worker would
 start threads that fight the workers.
 """
 
@@ -39,9 +40,9 @@ from .matcore import PSD_REL_TOL, RANK_ROUNDING_MARGIN, check_matrix, cholesky_l
 from .parallel import DEFAULT_BATCHES, FOLD_ROWS, mean_sd, merge, merge_all, moments, run_batched
 from .sampler import RngStream
 
-# Sampling costs about epsilon * trials, but acceptances scale like
-# epsilon^(d-2): beyond dimension 6 the brute-force slab oracle stops being
-# honest within any sane budget.
+# Sampling costs about p0 * trials (p0 the first screen's pass rate), but
+# acceptances scale like epsilon^(d-2): beyond dimension 6 the brute-force slab
+# oracle stops being honest within any sane budget.
 MAX_REJECTION_DIM = 6
 MIN_ACCEPTED = 1000
 # A principal angle whose sine is at most ANGLE_TOL counts as zero, i.e. one
@@ -176,9 +177,11 @@ def alpha_monte_carlo(
     """Brute-force slab conditioning: empirical second moments of (Y_i, Y_j)
     over samples whose every other coordinate lies in (-epsilon, epsilon).
 
-    Plain rejection with no importance weighting, so the oracle presumes
-    nothing about the answer; thinning the first screen (a binomial count of
-    passes, then z0 drawn given a pass) leaves the accepted rows' law exact.
+    Plain rejection, with the mirror of the last normal paired in and no
+    importance weighting, so the oracle presumes nothing about the answer.
+    Thinning the first screen (a binomial count of passes, then z0 drawn given a
+    pass) keeps the accepted rows' law exact, and so does the mirror: z_{d-1}
+    enters only Y_j = u + v, so a row and its mirror count as x^2, xu, u^2 + v^2.
     Restricted to small dimension where the acceptance rate is workable.
     """
     m = check_matrix(a)
@@ -217,10 +220,13 @@ def alpha_monte_carlo(
                 n = np.count_nonzero(keep)
                 z = np.compress(keep, z, axis=1, out=work[3:].reshape(-1)[: d * n].reshape(d, n))
             gen.standard_normal(out=z[d - 2 :])
-            xy = np.einsum("cl,lr->cr", c[d - 2 :], z, out=work[0:3:2, :n])  # x, _, y
-            np.multiply(*xy, out=work[1, :n])
-            np.square(xy, out=xy)
-            if n:  # rows 0-2 hold x^2, xy, y^2
+            # x, _, u: y = u + v with v = c[-1, -1] z[-1], and y = u - v in the mirror row
+            xu = np.einsum("cl,lr->cr", c[d - 2 :, : d - 1], z[: d - 1], out=work[0:3:2, :n])
+            np.multiply(*xu, out=work[1, :n])
+            np.square(xu, out=xu)
+            v = np.multiply(z[d - 1], c[d - 1, d - 1], out=z[d - 1])
+            xu[1] += np.square(v, out=v)
+            if n:  # rows 0-2 hold x^2, xu, u^2 + v^2
                 acc = merge(acc, moments(work[:3, :n]))
         return acc
 

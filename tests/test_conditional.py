@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 
@@ -151,6 +152,22 @@ class TestAlphaMonteCarlo:
         assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z.mean(axis=0)
         assert np.all((sd >= 0.6) & (sd <= 1.4)), sd
 
+    @pytest.mark.parametrize("d, i, j", [(2, 1, 0), (5, 4, 1), (6, 2, 5)])
+    def test_standard_error_is_calibrated_in_infinite_slab(self, d, i, j):
+        # Seeds fixed once.  At eps = inf every proposal is accepted and the conditioned
+        # moments are the covariance block A[[i, j], [i, j]] exactly, at any d; each
+        # moment's z-scores over 100 runs should look N(0, 1).
+        a = helpers.random_spd(d, seed=8800 + d)
+        exact = a[np.ix_([i, j], [i, j])]
+        z = []
+        for seed in range(8800 + 100 * d, 8900 + 100 * d):
+            est = alpha_monte_carlo(a, i, j, math.inf, 100_000, RngStream(seed), workers=2)
+            z.append(((est.values - exact) / est.standard_errors)[[0, 0, 1], [0, 1, 1]])
+        z = np.array(z)
+        sd = z.std(axis=0, ddof=1)
+        assert np.all(np.abs(z.mean(axis=0)) <= 0.6), z.mean(axis=0)
+        assert np.all((sd >= 0.6) & (sd <= 1.4)), sd
+
     def test_acceptance_rate_reported(self):
         est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, epsilon=0.3, trials=100_000,
                                 rng=RngStream(54))
@@ -199,10 +216,14 @@ class TestAlphaMonteCarlo:
                               min_accepted=min_accepted)
 
 
-def _moments(y):
-    """Second-moment means of the accepted pairs and their standard errors."""
-    prods = np.stack([y[:, 0] ** 2, y[:, 0] * y[:, 1], y[:, 1] ** 2])
-    return prods.mean(axis=1), prods.std(axis=1, ddof=1) / math.sqrt(len(y))
+def _products(y):
+    """Per-row x^2, xy, y^2 of accepted pairs (x, y), shape (3, rows)."""
+    return np.stack([y[:, 0] ** 2, y[:, 0] * y[:, 1], y[:, 1] ** 2])
+
+
+def _moments(prods):
+    """Means of per-row products (3, rows) and their standard errors."""
+    return prods.mean(axis=1), prods.std(axis=1, ddof=1) / math.sqrt(prods.shape[1])
 
 
 def _slab_normals(gen, t, count, capacity):
@@ -230,7 +251,9 @@ def _triangular_route(a, i, j, epsilon, trials, rng):
     first screen, from a fresh copy of the root stream; those rows split over
     min(32, ceil(passed / rows)) batches, each on its child stream; per chunk of
     a batch's rows, z0 by the same rejection, the later screens' normals, the
-    whole screen, then the pair's normals.  The accepted pairs."""
+    whole screen, then the pair's normals.  The products (3, accepted) of the
+    accepted pairs, plain and as the row means over each row and its mirror,
+    the row with z_{d-1} negated."""
     d = a.shape[0]
     order = [k for k in range(d) if k not in (i, j)] + [i, j]
     c = np.linalg.cholesky(a[np.ix_(order, order)])
@@ -250,8 +273,10 @@ def _triangular_route(a, i, j, epsilon, trials, rng):
                 z[:, k] = gen.standard_normal(n)
             z = z[np.all(np.abs(z @ c[: d - 2, : d - 2].T) < epsilon, axis=1)]
             z = np.hstack([z, gen.standard_normal((2, len(z))).T])
-            parts.append((z @ c.T)[:, d - 2 :])
-    return np.concatenate(parts)
+            mirror = z * np.append(np.ones(d - 1), -1.0)
+            parts.append([_products((z @ c.T)[:, d - 2 :]), _products((mirror @ c.T)[:, d - 2 :])])
+    plain, mirrored = (np.concatenate(side, axis=1) for side in zip(*parts))
+    return plain, 0.5 * (plain + mirrored)
 
 
 def _symmetric_root_route(a, i, j, epsilon, trials, rng):
@@ -267,31 +292,45 @@ def _symmetric_root_route(a, i, j, epsilon, trials, rng):
     return np.concatenate(parts)
 
 
+NARROW = [(2, 0, 1), (3, 1, 2), (3, 2, 0), (5, 4, 0), (6, 0, 1)]
+# In the wide slabs t = eps / c00 is 2.6 and 2.0: z0 comes from normal proposals, and at
+# d = 3 each of the 32 batches takes about 62,000 passing rows, three chunks with a
+# capped round.
+WIDE = [(3, 0, 1, 3.0, 2_000_000), (5, 4, 0, 2.5, 400_000)]
+# The replayed calls: (d, i, j, epsilon, trials, matrix seed, stream seed).
+REPLAYS = ([(d, i, j, 0.8, 200_000, 5000 + 10 * d + i, 58) for d, i, j in NARROW]
+           + [(*case, 5600 + case[0], 59) for case in WIDE])
+
+
+@functools.lru_cache(maxsize=None)
+def _replay(d, i, j, eps, trials, matrix_seed, seed):
+    """One call and its replay: the estimate, the replay's plain and mirrored means
+    and standard errors, and its accepted count."""
+    a = helpers.random_spd(d, seed=matrix_seed)
+    est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(seed), workers=2, min_accepted=100)
+    plain, mirrored = _triangular_route(a, i, j, eps, trials, RngStream(seed))
+    return est, _moments(plain), _moments(mirrored), plain.shape[1]
+
+
+def _check_mirrored_replay(case):
+    est, _, (means, ses), accepted = _replay(*case)
+    values = means[[0, 1, 1, 2]].reshape(2, 2)
+    assert est.accepted == accepted
+    assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+    se = ses[[0, 1, 1, 2]].reshape(2, 2)
+    assert np.all(np.abs(est.standard_errors - se) <= 1e-12 * se)
+
+
 class TestAlphaRoutes:
     """The worker path (elementwise, in blocks) against plain matrix products."""
 
-    @pytest.mark.parametrize("d, i, j", [(2, 0, 1), (3, 1, 2), (3, 2, 0), (5, 4, 0), (6, 0, 1)])
+    @pytest.mark.parametrize("d, i, j", NARROW)
     def test_matches_matrix_product_route(self, d, i, j):
-        a = helpers.random_spd(d, seed=5000 + 10 * d + i)
-        est = alpha_monte_carlo(a, i, j, 0.8, 200_000, RngStream(58), workers=2,
-                                min_accepted=100)
-        y = _triangular_route(a, i, j, 0.8, 200_000, RngStream(58))
-        values = _moments(y)[0][[0, 1, 1, 2]].reshape(2, 2)
-        assert est.accepted == len(y)
-        assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+        _check_mirrored_replay(REPLAYS[NARROW.index((d, i, j))])
 
-    @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 0, 1, 3.0, 2_000_000),
-                                                      (5, 4, 0, 2.5, 400_000)])
+    @pytest.mark.parametrize("d, i, j, eps, trials", WIDE)
     def test_matches_matrix_product_route_in_wide_slabs(self, d, i, j, eps, trials):
-        # t = eps / c00 is 2.6 and 2.0: z0 comes from normal proposals, and at d = 3
-        # each of the 32 batches takes about 62,000 passing rows, three chunks with a
-        # capped round.
-        a = helpers.random_spd(d, seed=5600 + d)
-        est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(59), workers=2)
-        y = _triangular_route(a, i, j, eps, trials, RngStream(59))
-        values = _moments(y)[0][[0, 1, 1, 2]].reshape(2, 2)
-        assert est.accepted == len(y)
-        assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+        _check_mirrored_replay(REPLAYS[len(NARROW) + WIDE.index((d, i, j, eps, trials))])
 
     @pytest.mark.parametrize("d, i, j, eps, trials", [(3, 1, 2, 0.3, 400_000),
                                                       (5, 4, 0, 1.0, 600_000),
@@ -300,10 +339,40 @@ class TestAlphaRoutes:
         # Seeds fixed once; the two square roots of A give the same proposal law.
         a = helpers.random_spd(d, seed=5100 + d)
         est = alpha_monte_carlo(a, i, j, eps, trials, RngStream(5200 + d), workers=2)
-        means, ses = _moments(_symmetric_root_route(a, i, j, eps, trials, RngStream(5300 + d)))
+        y = _symmetric_root_route(a, i, j, eps, trials, RngStream(5300 + d))
+        means, ses = _moments(_products(y))
         new = est.values[[0, 0, 1], [0, 1, 1]]
         new_se = est.standard_errors[[0, 0, 1], [0, 1, 1]]
         assert np.all(np.abs(new - means) < 4 * np.hypot(new_se, ses)), (new, means)
+
+
+class TestAlphaMirror:
+    """Each accepted row counts with its mirror, the row with the pair's last normal negated."""
+
+    @pytest.mark.parametrize("case", REPLAYS, ids=str)
+    def test_ii_column_matches_unmirrored_replay(self, case):
+        # The mirror leaves x, so the ii moment, its SE and the count are the plain ones.
+        est, (means, ses), _, accepted = _replay(*case)
+        assert est.accepted == accepted
+        assert abs(est.values[0, 0] - means[0]) <= 1e-12 * means[0]
+        assert abs(est.standard_errors[0, 0] - ses[0]) <= 1e-12 * ses[0]
+
+    @pytest.mark.parametrize("case", REPLAYS, ids=str)
+    def test_standard_errors_do_not_grow(self, case):
+        # Same draws: the mean of a row and its mirror varies no more than the row.
+        est, (_, ses), _, _ = _replay(*case)
+        assert est.standard_errors[0, 1] <= 1.01 * ses[1]
+        assert est.standard_errors[1, 1] <= 1.01 * ses[2]
+
+    def test_standard_errors_shrink_at_benchmark_inputs(self):
+        # Seed fixed once; tridiagonal A, pair (0, 1), eps 0.05, 1e7 proposals.  In the
+        # narrow-slab limit Var(xy) falls from 4 to 2 and Var(y^2) from 4.5 to 2.5, so the
+        # SEs shrink by sqrt(1/2) = 0.707 and sqrt(5/9) = 0.745.
+        est = alpha_monte_carlo(TRIDIAGONAL, 0, 1, 0.05, 10_000_000, RngStream(8700), workers=2)
+        plain, _ = _triangular_route(TRIDIAGONAL, 0, 1, 0.05, 10_000_000, RngStream(8700))
+        ses = _moments(plain)[1]
+        assert 0.66 <= est.standard_errors[0, 1] / ses[1] <= 0.76
+        assert 0.70 <= est.standard_errors[1, 1] / ses[2] <= 0.79
 
 
 class TestSlabDraws:
